@@ -31,13 +31,15 @@
 //! recovery sequence at any worker count on any machine.
 
 use crate::error::{DipError, ResultExt};
-use crate::ordering::{ordering_from_priorities, search_ordering, OrderingSearchConfig};
+use crate::ordering::{
+    ordering_from_priorities, search_ordering, OrderingResult, OrderingSearchConfig,
+};
 use crate::planner::{request_modalities, DipPlan, DipPlanner, PlanTier, PlannerStats};
 use dip_models::{BatchWorkload, ModuleId};
 use dip_pipeline::{
-    capacity_aware_separated_placement, dual_queue, full_restore_cost,
-    latency_balanced_separated_placement, migration_cost, separated_placement, DualQueueConfig,
-    MigrationCost, Placement, PlacementMode, RankOrders, StageGraph, StageGraphBuilder,
+    capacity_aware_separated_placement, full_restore_cost, latency_balanced_separated_placement,
+    migration_cost, separated_placement, DualQueueConfig, MigrationCost, Placement, PlacementMode,
+    StageGraph, StageGraphBuilder,
 };
 use dip_sim::{ClusterTopology, TopologyDelta};
 use serde::{Deserialize, Serialize};
@@ -138,12 +140,7 @@ struct Evaluated {
     report: CandidateReport,
     placement: Placement,
     graph: StageGraph,
-    orders: RankOrders,
-    priorities: Vec<i64>,
-    evaluations: u64,
-    worker_evaluations: Vec<u64>,
-    pruned: u64,
-    search_cpu_time: Duration,
+    search: OrderingResult,
     build_cpu_time: Duration,
 }
 
@@ -258,7 +255,7 @@ impl DipPlanner<'_> {
                     .eval_cost
                     .seconds(e.graph.len() as u64)
                     .max(0.0)
-                    * e.evaluations as f64
+                    * e.search.evaluations as f64
             })
             .sum();
 
@@ -279,16 +276,17 @@ impl DipPlanner<'_> {
             }
         }
         let reports: Vec<CandidateReport> = evaluated.iter().map(|e| e.report.clone()).collect();
-        let total_evaluations: u64 = evaluated.iter().map(|e| e.evaluations).sum();
-        let total_pruned: u64 = evaluated.iter().map(|e| e.pruned).sum();
-        let search_cpu_time = evaluated.iter().map(|e| e.search_cpu_time).sum();
+        let total_evaluations: u64 = evaluated.iter().map(|e| e.search.evaluations).sum();
+        let total_pruned: u64 = evaluated.iter().map(|e| e.search.pruned_evaluations).sum();
+        let total_memo_hits: u64 = evaluated.iter().map(|e| e.search.memo_hits).sum();
+        let search_cpu_time = evaluated.iter().map(|e| e.search.cpu_time).sum();
         let build_cpu_time = evaluated.iter().map(|e| e.build_cpu_time).sum();
         let winner = evaluated.swap_remove(best);
 
         let plan = DipPlan {
             graph: winner.graph,
-            orders: winner.orders,
-            segment_priorities: winner.priorities,
+            orders: winner.search.orders,
+            segment_priorities: winner.search.segment_priorities,
             memory_plan: old_plan.memory_plan.clone(),
             sub_microbatches: old_plan.sub_microbatches.clone(),
             placement: winner.placement,
@@ -299,8 +297,9 @@ impl DipPlanner<'_> {
                 graph_build_cpu_time: build_cpu_time,
                 search_cpu_time,
                 search_evaluations: total_evaluations,
-                search_worker_evaluations: winner.worker_evaluations,
+                search_worker_evaluations: winner.search.worker_evaluations,
                 search_pruned_evaluations: total_pruned,
+                search_memo_hits: total_memo_hits,
                 planned_time_s: winner.report.planned_time_s,
                 warm_started: true,
                 tier: PlanTier::Elastic,
@@ -470,34 +469,12 @@ impl DipPlanner<'_> {
         };
         let quota = delta_config.evaluation_quota(graph.len());
         let num_segments = placement.segments.len();
-        let (priorities, orders, evaluations, worker_evaluations, pruned, cpu_time, planned) =
-            if self.config.enable_search && quota > 0 {
-                let result = search_ordering(&graph, num_segments, &delta_config);
-                (
-                    result.segment_priorities,
-                    result.orders,
-                    result.evaluations,
-                    result.worker_evaluations,
-                    result.pruned_evaluations,
-                    result.cpu_time,
-                    result.best_time_s,
-                )
-            } else {
-                let queue = DualQueueConfig {
-                    segment_priorities: old_plan.segment_priorities.clone(),
-                    ..base_queue
-                };
-                let (orders, makespan) = dual_queue::schedule(&graph, &queue);
-                (
-                    old_plan.segment_priorities.clone(),
-                    orders,
-                    1,
-                    Vec::new(),
-                    0,
-                    Duration::ZERO,
-                    makespan,
-                )
-            };
+        let search = if self.config.enable_search && quota > 0 {
+            search_ordering(&graph, num_segments, &delta_config)
+        } else {
+            OrderingResult::unsearched(&graph, old_plan.segment_priorities.clone(), &base_queue)
+        };
+        let planned = search.best_time_s;
         let objective = if config.migration_weight.is_infinite() {
             if migration.transfer_time_s > 0.0 {
                 f64::INFINITY
@@ -516,12 +493,7 @@ impl DipPlanner<'_> {
             },
             placement,
             graph,
-            orders,
-            priorities,
-            evaluations,
-            worker_evaluations,
-            pruned,
-            search_cpu_time: cpu_time,
+            search,
             build_cpu_time: build_stats.cpu_time,
         })
     }

@@ -14,12 +14,29 @@
 //!
 //! The MCTS and random strategies run **root-parallel** over
 //! [`OrderingSearchConfig::streams`] independent search streams (§6.2):
-//! every stream owns its own search tree, RNG stream and evaluation quota,
-//! so streams never contend on shared state while exploring. The streams
-//! are executed by [`OrderingSearchConfig::workers`] physical CPU threads
-//! pulling from a shared queue; when all streams finish, their incumbents
-//! are merged by best simulated iteration time with a stable tie-break
-//! (the lowest stream index wins ties).
+//! every stream owns its own search tree, RNG stream and evaluation quota.
+//! The streams are executed by [`OrderingSearchConfig::workers`] physical
+//! CPU threads pulling from a shared queue; when all streams finish, their
+//! incumbents are merged by best simulated iteration time with a stable
+//! tie-break (the lowest stream index wins ties).
+//!
+//! The one state the streams share is a per-search **memo** from ordering
+//! to makespan. An interleave pass is a pure function of (graph, base
+//! [`DualQueueConfig`], ordering), and a search with few segments revisits
+//! the same orderings many times (six segments allow only 720), so the MCTS
+//! rollouts and the random worker look an ordering up before running its
+//! pass. The memo is exact and invisible to the plan: it stores only
+//! completed passes; a hit counts against the stream's quota exactly like
+//! a pass; a random-worker hit counts as pruned exactly when the stored
+//! makespan exceeds the cutoff (the bounded pass is exact, so it would
+//! have aborted); and a hit that strictly beats the stream's incumbent
+//! re-runs its pass to recover the per-rank orders. No RNG draw depends
+//! on whether a lookup hit, so every stream explores the same orderings
+//! and every plan and counter is bit-identical with or without the memo —
+//! only *which stream* evaluated an ordering first depends on thread
+//! timing, which moves [`OrderingResult::memo_hits`] and wall time only.
+//! Debug builds re-run every hit and assert the stored makespan's bits.
+//! DFS skips the memo: it visits each permutation once.
 //!
 //! Search budgets are **virtual time**, never wall clock: the
 //! [`OrderingSearchConfig::time_budget`] is converted into a deterministic
@@ -45,6 +62,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Which exploration strategy drives the ordering search.
@@ -168,7 +186,9 @@ impl OrderingSearchConfig {
     /// divided by the calibrated per-evaluation cost, min-combined with
     /// [`Self::max_evaluations`]. This number — never a wall clock — is
     /// what stops every search stream, which is why fixed-seed searches
-    /// are reproducible on any machine at any worker count.
+    /// are reproducible on any machine at any worker count. It counts
+    /// orderings *visited*: a memo hit (see the module docs) uses up one
+    /// unit just like a pass does.
     pub fn evaluation_quota(&self, graph_items: usize) -> u64 {
         let virtual_quota = self.eval_cost.quota(self.time_budget, graph_items as u64);
         self.max_evaluations
@@ -276,6 +296,14 @@ pub struct OrderingResult {
     /// of interleave passes the search did not have to finish. Always 0
     /// for MCTS, whose rollouts are never bounded.
     pub pruned_evaluations: u64,
+    /// How many of `evaluations` the per-search ordering memo answered
+    /// without an interleave pass (see the module docs). Like pruning, a
+    /// memo hit counts fully against the quota, so this is a wall-clock
+    /// figure: `evaluations − memo_hits` passes actually ran (a hit that
+    /// improves a stream's incumbent re-runs its pass and is still counted
+    /// here). With more than one worker it depends on thread timing, so
+    /// it is not part of the determinism guarantee. Always 0 for DFS.
+    pub memo_hits: u64,
     /// The deterministic per-stream evaluation quota the search ran under
     /// (0 when the search was skipped).
     pub evaluation_quota: u64,
@@ -291,6 +319,35 @@ pub struct OrderingResult {
     pub progress: Vec<SearchProgressPoint>,
     /// The per-rank orders realising the best time.
     pub orders: RankOrders,
+}
+
+impl OrderingResult {
+    /// The result of *not* searching: one interleave pass of `graph` under
+    /// the given `segment_priorities` over the `base` configuration — one
+    /// evaluation, no streams, a zero quota.
+    pub(crate) fn unsearched(
+        graph: &StageGraph,
+        segment_priorities: Vec<i64>,
+        base: &DualQueueConfig,
+    ) -> Self {
+        let queue = DualQueueConfig {
+            segment_priorities,
+            ..base.clone()
+        };
+        let (orders, best_time_s) = dual_queue::schedule(graph, &queue);
+        Self {
+            segment_priorities: queue.segment_priorities,
+            best_time_s,
+            evaluations: 1,
+            worker_evaluations: Vec::new(),
+            pruned_evaluations: 0,
+            memo_hits: 0,
+            evaluation_quota: 0,
+            cpu_time: Duration::ZERO,
+            progress: Vec::new(),
+            orders,
+        }
+    }
 }
 
 /// Per-stream evaluation scratch: a reusable [`ScheduleWorkspace`] plus one
@@ -381,6 +438,8 @@ struct WorkerOutcome {
     /// How many of `evaluations` the cutoff bound aborted early. Pruned
     /// evaluations still count fully against the quota.
     pruned: u64,
+    /// How many of `evaluations` the shared memo answered.
+    memo_hits: u64,
     /// CPU time the stream's task took to execute (filled by the runner;
     /// informational only — never consulted by the search itself).
     cpu: Duration,
@@ -395,6 +454,7 @@ impl WorkerOutcome {
             progress: Vec::new(),
             evaluations: 0,
             pruned: 0,
+            memo_hits: 0,
             cpu: Duration::ZERO,
         }
     }
@@ -436,6 +496,76 @@ impl WorkerOutcome {
     }
 }
 
+/// The per-search memo from ordering to makespan, shared by every stream
+/// (see the module docs for why it leaves every plan bit-identical).
+#[derive(Default)]
+struct SearchMemo {
+    makespans: Mutex<HashMap<Vec<usize>, f64>>,
+}
+
+impl SearchMemo {
+    fn lock(&self) -> MutexGuard<'_, HashMap<Vec<usize>, f64>> {
+        self.makespans
+            .lock()
+            .expect("no search stream panics while holding the memo lock")
+    }
+
+    /// Stores the makespan of a *completed* pass over `ordering`. The key is
+    /// allocated only for an ordering not yet stored.
+    fn insert(&self, ordering: &[usize], makespan: f64) {
+        let mut makespans = self.lock();
+        if !makespans.contains_key(ordering) {
+            makespans.insert(ordering.to_vec(), makespan);
+        }
+    }
+
+    /// One search-stream evaluation of `ordering`, bounded by `cutoff`
+    /// (`f64::INFINITY` for an unbounded pass): counts it against `local`'s
+    /// quota, records it if it strictly beats the stream's incumbent, and
+    /// returns its makespan — or `None` when the makespan provably exceeds
+    /// `cutoff` (counted as pruned). Answers from the memo when it can and
+    /// runs the interleave pass otherwise.
+    fn visit(
+        &self,
+        graph: &StageGraph,
+        ordering: &[usize],
+        ctx: &mut EvalContext,
+        local: &mut WorkerOutcome,
+        start: Instant,
+        cutoff: f64,
+    ) -> Option<f64> {
+        local.evaluations += 1;
+        let stored = self.lock().get(ordering).copied();
+        let Some(makespan) = stored else {
+            let Some(makespan) = evaluate_bounded(graph, ordering, ctx, cutoff) else {
+                local.pruned += 1;
+                return None;
+            };
+            self.insert(ordering, makespan);
+            local.record_if_better(start, makespan, ctx.priorities(), ctx.ws.orders());
+            return Some(makespan);
+        };
+        local.memo_hits += 1;
+        // An improving hit needs the pass's per-rank orders, so it re-runs
+        // (rare: strict improvements only). Debug builds re-run every hit
+        // to prove the memo exact.
+        if cfg!(debug_assertions) || makespan < local.time_s {
+            let fresh = evaluate_into(graph, ordering, ctx);
+            assert_eq!(
+                fresh.to_bits(),
+                makespan.to_bits(),
+                "memoised makespan of {ordering:?} differs from a fresh pass"
+            );
+            local.record_if_better(start, fresh, ctx.priorities(), ctx.ws.orders());
+        }
+        if makespan > cutoff {
+            local.pruned += 1;
+            return None;
+        }
+        Some(makespan)
+    }
+}
+
 /// Runs the segment-ordering search over `num_segments` segments of `graph`.
 pub fn search_ordering(
     graph: &StageGraph,
@@ -456,8 +586,11 @@ pub fn search_ordering(
         }],
         evaluations: 1,
         pruned: 0,
+        memo_hits: 0,
         cpu: Duration::ZERO,
     };
+    let memo = SearchMemo::default();
+    memo.insert(&identity, t0);
 
     // Warm start: evaluate the seeded ordering (typically the previous
     // iteration's best) so the incumbent is at least as good as last time.
@@ -470,6 +603,7 @@ pub fn search_ordering(
         let (t, o, p) = evaluate(graph, seed, &config.dual_queue);
         incumbent.evaluations += 1;
         incumbent.record_if_better(start, t, &p, &o.orders);
+        memo.insert(seed, t);
         warm_time = Some(t);
     }
 
@@ -485,6 +619,7 @@ pub fn search_ordering(
                         config,
                         quota,
                         warm.zip(warm_time),
+                        &memo,
                         &mut local,
                         start,
                         stream,
@@ -500,6 +635,7 @@ pub fn search_ordering(
                         num_segments,
                         config,
                         quota,
+                        &memo,
                         &mut local,
                         start,
                         stream,
@@ -553,6 +689,7 @@ fn merge_outcomes(
     let mut evaluations = incumbent.evaluations;
     let mut worker_evaluations = Vec::with_capacity(outcomes.len());
     let mut pruned_evaluations = 0u64;
+    let mut memo_hits = 0u64;
     let mut progress = incumbent.progress.clone();
     let mut best_time = incumbent.time_s;
     let mut best_priorities = incumbent.priorities;
@@ -562,6 +699,7 @@ fn merge_outcomes(
         evaluations += outcome.evaluations;
         worker_evaluations.push(outcome.evaluations);
         pruned_evaluations += outcome.pruned;
+        memo_hits += outcome.memo_hits;
         progress.extend(outcome.progress.iter().copied());
         cpu_time += outcome.cpu;
         if outcome.time_s < best_time {
@@ -592,6 +730,7 @@ fn merge_outcomes(
         evaluations,
         worker_evaluations,
         pruned_evaluations,
+        memo_hits,
         evaluation_quota: if outcomes.is_empty() { 0 } else { quota },
         cpu_time,
         progress: merged,
@@ -614,6 +753,7 @@ fn random_worker(
     num_segments: usize,
     config: &OrderingSearchConfig,
     quota: u64,
+    memo: &SearchMemo,
     local: &mut WorkerOutcome,
     start: Instant,
     stream: usize,
@@ -626,24 +766,15 @@ fn random_worker(
         // Only strictly-better-than-incumbent results matter here, so the
         // evaluation is bounded by this stream's own best time: exact
         // pruning with per-stream incumbents keeps fixed-seed cross-worker
-        // bit-identity (streams never observe each other's progress).
+        // bit-identity (streams never observe each other's incumbents).
+        // A pruned evaluation is provably worse than the incumbent and
+        // counts against the quota exactly like a finished one.
         let cutoff = if config.prune_bounded_evaluations {
             local.time_s
         } else {
             f64::INFINITY
         };
-        match evaluate_bounded(graph, &ordering, &mut ctx, cutoff) {
-            Some(t) => {
-                local.evaluations += 1;
-                local.record_if_better(start, t, ctx.priorities(), ctx.ws.orders());
-            }
-            None => {
-                // Provably worse than the incumbent: counts against the
-                // quota exactly like a finished evaluation.
-                local.evaluations += 1;
-                local.pruned += 1;
-            }
-        }
+        memo.visit(graph, &ordering, &mut ctx, local, start, cutoff);
     }
 }
 
@@ -723,7 +854,6 @@ struct MctsNode {
     visits: u64,
     /// Best (lowest) iteration time observed among descendants.
     best_time: f64,
-    children: HashMap<usize, usize>,
 }
 
 impl MctsNode {
@@ -731,7 +861,6 @@ impl MctsNode {
         Self {
             visits: 0,
             best_time: f64::INFINITY,
-            children: HashMap::new(),
         }
     }
 }
@@ -739,12 +868,46 @@ impl MctsNode {
 #[derive(Debug)]
 struct MctsTree {
     nodes: Vec<MctsNode>,
+    /// Dense child table, one row of `num_segments` entries per node: the
+    /// child of node `i` for segment `s` is `children[i * num_segments +
+    /// s]`, and 0 marks a missing child (the root, node 0, is nobody's
+    /// child). Growing the tree only extends this vector, so tree growth
+    /// allocates amortised O(log nodes) times.
+    children: Vec<usize>,
+    num_segments: usize,
 }
 
 impl MctsTree {
-    fn new(_num_segments: usize) -> Self {
+    fn new(num_segments: usize) -> Self {
         Self {
             nodes: vec![MctsNode::new()],
+            children: vec![0; num_segments],
+            num_segments,
+        }
+    }
+
+    /// The child of `node` for segment `seg`, if it has been expanded.
+    fn child(&self, node: usize, seg: usize) -> Option<usize> {
+        let idx = self.children[node * self.num_segments + seg];
+        (idx != 0).then_some(idx)
+    }
+
+    /// Appends a fresh node as `node`'s child for `seg`; returns its index.
+    fn add_child(&mut self, node: usize, seg: usize) -> usize {
+        let idx = self.nodes.len();
+        self.nodes.push(MctsNode::new());
+        self.children
+            .resize(self.children.len() + self.num_segments, 0);
+        self.children[node * self.num_segments + seg] = idx;
+        idx
+    }
+
+    /// Credits `node` with one visit at `time_s`.
+    fn credit(&mut self, node: usize, time_s: f64) {
+        let node = &mut self.nodes[node];
+        node.visits += 1;
+        if time_s < node.best_time {
+            node.best_time = time_s;
         }
     }
 
@@ -755,30 +918,21 @@ impl MctsTree {
     fn seed_path(&mut self, ordering: &[usize], time_s: f64) {
         let mut node_idx = 0usize;
         for &seg in ordering {
-            self.nodes[node_idx].visits += 1;
-            if time_s < self.nodes[node_idx].best_time {
-                self.nodes[node_idx].best_time = time_s;
-            }
-            let next = match self.nodes[node_idx].children.get(&seg) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = self.nodes.len();
-                    self.nodes.push(MctsNode::new());
-                    self.nodes[node_idx].children.insert(seg, idx);
-                    idx
-                }
+            self.credit(node_idx, time_s);
+            node_idx = match self.child(node_idx, seg) {
+                Some(idx) => idx,
+                None => self.add_child(node_idx, seg),
             };
-            node_idx = next;
         }
-        self.nodes[node_idx].visits += 1;
-        if time_s < self.nodes[node_idx].best_time {
-            self.nodes[node_idx].best_time = time_s;
-        }
+        self.credit(node_idx, time_s);
     }
 }
 
-/// One root-parallel MCTS stream: owns its tree and RNG outright, so the
-/// entire select/expand/rollout/backpropagate loop runs without locks.
+/// One root-parallel MCTS stream: owns its tree, RNG and scratch buffers
+/// outright, so the select/expand/rollout/backpropagate loop takes no lock
+/// except the memo's and allocates nothing but memo inserts and tree
+/// growth. `missing` and `rest` are built in ascending segment order, which
+/// fixes the RNG draws for a given seed.
 #[allow(clippy::too_many_arguments)]
 fn mcts_worker(
     graph: &StageGraph,
@@ -786,6 +940,7 @@ fn mcts_worker(
     config: &OrderingSearchConfig,
     quota: u64,
     warm: Option<(&[usize], f64)>,
+    memo: &SearchMemo,
     local: &mut WorkerOutcome,
     start: Instant,
     stream: usize,
@@ -796,28 +951,37 @@ fn mcts_worker(
     if let Some((seed, time_s)) = warm {
         tree.seed_path(seed, time_s);
     }
+    let mut path: Vec<usize> = Vec::with_capacity(num_segments + 1);
+    let mut prefix: Vec<usize> = Vec::with_capacity(num_segments);
+    let mut used = vec![false; num_segments];
+    let mut unused: Vec<usize> = Vec::with_capacity(num_segments);
+    let mut missing: Vec<usize> = Vec::with_capacity(num_segments);
+    let mut ordering: Vec<usize> = Vec::with_capacity(num_segments);
+    let mut rest: Vec<usize> = Vec::with_capacity(num_segments);
     while !local.budget_exhausted(quota) {
         // --- Selection + expansion. ---
         let mut node_idx = 0usize;
-        let mut path = vec![0usize];
-        let mut prefix: Vec<usize> = Vec::new();
-        let mut used = vec![false; num_segments];
+        path.clear();
+        path.push(0);
+        prefix.clear();
+        used.fill(false);
         loop {
             if prefix.len() == num_segments {
                 break;
             }
-            let unused: Vec<usize> = (0..num_segments).filter(|s| !used[*s]).collect();
+            unused.clear();
+            unused.extend((0..num_segments).filter(|&s| !used[s]));
             // Expand if some child is missing.
-            let missing: Vec<usize> = unused
-                .iter()
-                .copied()
-                .filter(|s| !tree.nodes[node_idx].children.contains_key(s))
-                .collect();
+            missing.clear();
+            missing.extend(
+                unused
+                    .iter()
+                    .copied()
+                    .filter(|&s| tree.child(node_idx, s).is_none()),
+            );
             if !missing.is_empty() {
                 let pick = missing[rng.gen_range(0..missing.len())];
-                let new_idx = tree.nodes.len();
-                tree.nodes.push(MctsNode::new());
-                tree.nodes[node_idx].children.insert(pick, new_idx);
+                let new_idx = tree.add_child(node_idx, pick);
                 prefix.push(pick);
                 used[pick] = true;
                 path.push(new_idx);
@@ -829,7 +993,9 @@ fn mcts_worker(
             let mut best_child = None;
             let mut best_ucb = f64::NEG_INFINITY;
             for &seg in &unused {
-                let child_idx = tree.nodes[node_idx].children[&seg];
+                let child_idx = tree
+                    .child(node_idx, seg)
+                    .expect("no child is missing after expansion");
                 let child = &tree.nodes[child_idx];
                 let exploit = if child.best_time.is_finite() {
                     (incumbent / child.best_time).powf(config.ucb_alpha)
@@ -859,30 +1025,26 @@ fn mcts_worker(
             if local.budget_exhausted(quota) {
                 break;
             }
-            let mut ordering = prefix.clone();
-            let mut rest: Vec<usize> = (0..num_segments)
-                .filter(|s| !ordering.contains(s))
-                .collect();
+            ordering.clear();
+            ordering.extend_from_slice(&prefix);
+            rest.clear();
+            rest.extend((0..num_segments).filter(|&s| !used[s]));
             rest.shuffle(&mut rng);
-            ordering.extend(rest);
+            ordering.extend_from_slice(&rest);
             // Deliberately unbounded: backpropagation must credit the tree
             // path with the rollout's *true* time even when it is worse
             // than the incumbent — a cutoff-aborted rollout would yield no
             // value and change how the tree grows.
-            let t = evaluate_into(graph, &ordering, &mut ctx);
-            local.evaluations += 1;
-            local.record_if_better(start, t, ctx.priorities(), ctx.ws.orders());
+            let t = memo
+                .visit(graph, &ordering, &mut ctx, local, start, f64::INFINITY)
+                .expect("an unbounded evaluation is never pruned");
             local_best = local_best.min(t);
         }
 
         // --- Backpropagation. ---
         if local_best.is_finite() {
-            for idx in path {
-                let node = &mut tree.nodes[idx];
-                node.visits += 1;
-                if local_best < node.best_time {
-                    node.best_time = local_best;
-                }
+            for &idx in &path {
+                tree.credit(idx, local_best);
             }
         }
     }
@@ -976,6 +1138,42 @@ mod tests {
                 result.evaluations > worker_total,
                 "{strategy:?}: the incumbent evaluations are counted too"
             );
+        }
+    }
+
+    #[test]
+    fn the_memo_answers_every_revisited_ordering() {
+        let (graph, n) = vlm_graph(2);
+        let distinct: u64 = (1..=n as u64).product();
+        for strategy in [
+            SearchStrategy::Mcts,
+            SearchStrategy::Random,
+            SearchStrategy::Dfs,
+        ] {
+            let config = OrderingSearchConfig {
+                time_budget: Duration::from_secs(3600),
+                max_evaluations: Some(60),
+                ..quick_config(strategy)
+            };
+            let result = search_ordering(&graph, n, &config);
+            let visits: u64 = result.worker_evaluations.iter().sum();
+            assert!(result.memo_hits <= visits, "{strategy:?}");
+            match strategy {
+                SearchStrategy::Dfs => {
+                    assert_eq!(result.memo_hits, 0, "DFS never revisits an ordering");
+                }
+                // Unbounded rollouts always complete, so once each of the
+                // `distinct` orderings has run, every visit is a hit (debug
+                // builds re-run each one and assert the stored bits).
+                SearchStrategy::Mcts => assert!(
+                    result.memo_hits + distinct >= visits,
+                    "{} hits over {visits} visits",
+                    result.memo_hits
+                ),
+                // Pruned passes store nothing, so only revisits of
+                // completed orderings hit.
+                SearchStrategy::Random => assert!(result.memo_hits > 0),
+            }
         }
     }
 

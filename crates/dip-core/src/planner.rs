@@ -200,6 +200,12 @@ pub struct PlannerStats {
     /// evaluations still count against every quota, so this is a pure
     /// wall-clock saving at an unchanged plan.
     pub search_pruned_evaluations: u64,
+    /// How many of `search_evaluations` the search's ordering memo
+    /// answered without an interleave pass (see
+    /// [`OrderingResult::memo_hits`]). Like pruning, a wall-clock saving at
+    /// an unchanged plan; it varies with thread timing at more than one
+    /// worker.
+    pub search_memo_hits: u64,
     /// Schedule candidates evaluated by each parallel search worker, in
     /// worker-index order (empty when the search was skipped or the graph
     /// has a single segment).
@@ -513,50 +519,16 @@ impl<'a> DipPlanner<'a> {
         // Phase ①+②: segment reordering + stage interleaving.
         let search_start = Instant::now();
         let warm_started = self.config.enable_search && seed_ordering.is_some();
-        let (
-            priorities,
-            orders,
-            evaluations,
-            worker_evaluations,
-            pruned,
-            search_cpu_time,
-            planned_time,
-        ) = if self.config.enable_search {
+        let num_segments = partition.placement.segments.len();
+        let search = if self.config.enable_search {
             let search_config = OrderingSearchConfig {
                 dual_queue: base_queue.clone(),
                 seed_ordering: seed_ordering.map(<[usize]>::to_vec),
                 ..self.config.search.clone()
             };
-            let OrderingResult {
-                segment_priorities,
-                best_time_s,
-                evaluations,
-                worker_evaluations,
-                pruned_evaluations,
-                cpu_time,
-                orders,
-                ..
-            } = search_ordering(&graph, partition.placement.segments.len(), &search_config);
-            (
-                segment_priorities,
-                orders,
-                evaluations,
-                worker_evaluations,
-                pruned_evaluations,
-                cpu_time,
-                best_time_s,
-            )
+            search_ordering(&graph, num_segments, &search_config)
         } else {
-            let (orders, makespan) = dual_queue::schedule(&graph, &base_queue);
-            (
-                vec![0; partition.placement.segments.len()],
-                orders,
-                1,
-                Vec::new(),
-                0,
-                Duration::ZERO,
-                makespan,
-            )
+            OrderingResult::unsearched(&graph, vec![0; num_segments], &base_queue)
         };
         let search_time = search_start.elapsed();
 
@@ -572,7 +544,7 @@ impl<'a> DipPlanner<'a> {
             if self.config.enable_memory_opt {
                 let memopt = optimize_memory_detailed(
                     &graph,
-                    &orders,
+                    &search.orders,
                     &budget,
                     &self.config.memory,
                     self.config.search.workers.max(1),
@@ -581,7 +553,7 @@ impl<'a> DipPlanner<'a> {
                 let mut graph = graph;
                 graph.reprice(&memory_plan);
                 let queue = DualQueueConfig {
-                    segment_priorities: priorities.clone(),
+                    segment_priorities: search.segment_priorities.clone(),
                     ..base_queue
                 };
                 let (orders, makespan) = dual_queue::schedule(&graph, &queue);
@@ -589,10 +561,10 @@ impl<'a> DipPlanner<'a> {
             } else {
                 (
                     graph,
-                    orders,
+                    search.orders,
                     MemoryPlan::new(),
                     Duration::ZERO,
-                    planned_time,
+                    search.best_time_s,
                 )
             };
         let memopt_time = memopt_start.elapsed();
@@ -600,7 +572,7 @@ impl<'a> DipPlanner<'a> {
         Ok(DipPlan {
             graph,
             orders,
-            segment_priorities: priorities,
+            segment_priorities: search.segment_priorities,
             memory_plan,
             sub_microbatches: sub_plan,
             placement: partition.placement,
@@ -612,12 +584,13 @@ impl<'a> DipPlanner<'a> {
                 graph_build_time,
                 graph_build_cpu_time,
                 search_time,
-                search_cpu_time,
+                search_cpu_time: search.cpu_time,
                 memopt_time,
                 memopt_cpu_time,
-                search_evaluations: evaluations,
-                search_worker_evaluations: worker_evaluations,
-                search_pruned_evaluations: pruned,
+                search_evaluations: search.evaluations,
+                search_worker_evaluations: search.worker_evaluations,
+                search_pruned_evaluations: search.pruned_evaluations,
+                search_memo_hits: search.memo_hits,
                 planned_time_s: planned_time,
                 cache_hit: false,
                 warm_started,
@@ -734,58 +707,19 @@ impl<'a> DipPlanner<'a> {
             ..self.config.search.clone()
         };
         let quota = delta_config.evaluation_quota(graph.len());
-        let (
-            priorities,
-            orders,
-            evaluations,
-            worker_evaluations,
-            pruned,
-            search_cpu_time,
-            planned_time,
-        ) = if self.config.enable_search && quota > 0 {
-            let OrderingResult {
-                segment_priorities,
-                best_time_s,
-                evaluations,
-                worker_evaluations,
-                pruned_evaluations,
-                cpu_time,
-                orders,
-                ..
-            } = search_ordering(&graph, num_segments, &delta_config);
-            (
-                segment_priorities,
-                orders,
-                evaluations,
-                worker_evaluations,
-                pruned_evaluations,
-                cpu_time,
-                best_time_s,
-            )
+        let search = if self.config.enable_search && quota > 0 {
+            search_ordering(&graph, num_segments, &delta_config)
         } else {
             // Zero (or sub-evaluation) delta budget: serve the
             // anchor's ordering verbatim.
-            let queue = DualQueueConfig {
-                segment_priorities: anchor.segment_priorities.clone(),
-                ..base_queue
-            };
-            let (orders, makespan) = dual_queue::schedule(&graph, &queue);
-            (
-                anchor.segment_priorities.clone(),
-                orders,
-                1,
-                Vec::new(),
-                0,
-                Duration::ZERO,
-                makespan,
-            )
+            OrderingResult::unsearched(&graph, anchor.segment_priorities.clone(), &base_queue)
         };
         let search_time = search_start.elapsed();
 
         Ok(DipPlan {
             graph,
-            orders,
-            segment_priorities: priorities,
+            orders: search.orders,
+            segment_priorities: search.segment_priorities,
             memory_plan,
             sub_microbatches: sub_plan,
             placement: partition.placement,
@@ -797,13 +731,14 @@ impl<'a> DipPlanner<'a> {
                 graph_build_time,
                 graph_build_cpu_time: build_stats.cpu_time,
                 search_time,
-                search_cpu_time,
+                search_cpu_time: search.cpu_time,
                 memopt_time,
                 memopt_cpu_time: Duration::ZERO,
-                search_evaluations: evaluations,
-                search_worker_evaluations: worker_evaluations,
-                search_pruned_evaluations: pruned,
-                planned_time_s: planned_time,
+                search_evaluations: search.evaluations,
+                search_worker_evaluations: search.worker_evaluations,
+                search_pruned_evaluations: search.pruned_evaluations,
+                search_memo_hits: search.memo_hits,
+                planned_time_s: search.best_time_s,
                 cache_hit: false,
                 warm_started: true,
                 tier: PlanTier::Fuzzy,

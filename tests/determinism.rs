@@ -6,8 +6,9 @@
 //! bench-JSON CI gate's determinism metrics rely on.
 
 use dip_core::{
-    optimize_memory_detailed, DipPlan, DipPlanner, MemoryOptConfig, PlanRequest, PlannerConfig,
-    PlanningSession, SessionConfig,
+    optimize_memory_detailed, search_ordering, DipPlan, DipPlanner, MemoryOptConfig,
+    OrderingSearchConfig, PlanRequest, PlannerConfig, PlanningSession, SearchStrategy,
+    SessionConfig,
 };
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{
@@ -307,4 +308,255 @@ fn deterministic_counters_are_profile_stable() {
         .search_worker_evaluations
         .iter()
         .all(|&e| e > 0 || a.stats.search_evaluations >= 1));
+}
+
+/// The pinned outcome of one ordering search: everything a caller can see
+/// of the plan and of the deterministic counters.
+#[derive(Debug, PartialEq, Eq)]
+struct SearchOutcome {
+    segment_priorities: Vec<i64>,
+    best_time_bits: u64,
+    evaluations: u64,
+    worker_evaluations: Vec<u64>,
+    pruned_evaluations: u64,
+    orders_hash: u64,
+}
+
+/// FNV-1a over the per-rank orders (rank count, each rank's length and
+/// stage ids): a stable fingerprint that, unlike `DefaultHasher`, cannot
+/// change with the toolchain.
+fn orders_hash(orders: &dip_pipeline::RankOrders) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    mix(orders.orders.len() as u64);
+    for rank in &orders.orders {
+        mix(rank.len() as u64);
+        for stage in rank {
+            mix(stage.0 as u64);
+        }
+    }
+    hash
+}
+
+/// One ordering search over a six-segment VLM-S graph (four microbatches)
+/// under a fixed per-stream cap of 120 evaluations and four streams.
+fn golden_search(strategy: SearchStrategy, seed: u64, warm: bool, workers: usize) -> SearchOutcome {
+    let spec = zoo::vlm_s();
+    let parallel = ParallelConfig::new(4, 4, 1);
+    let mut k = BTreeMap::new();
+    k.insert(spec.backbone_id().unwrap(), 4usize);
+    let placement = separated_placement(&spec, parallel, &k);
+    let cluster = ClusterSpec::h800_cluster(2);
+    let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+    let batches = vec![vlm_batch(10), vlm_batch(30), vlm_batch(3), vlm_batch(20)];
+    let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
+    let graph = builder.build(&batches, &plan).unwrap();
+    let num_segments = placement.segments.len();
+    assert_eq!(num_segments, 6, "VLM-S at PP4 has six placement segments");
+    let config = OrderingSearchConfig {
+        strategy,
+        time_budget: Duration::from_secs(3600),
+        max_evaluations: Some(120),
+        streams: 4,
+        workers,
+        seed,
+        seed_ordering: warm.then(|| (0..num_segments).rev().collect()),
+        ..OrderingSearchConfig::default()
+    };
+    let result = search_ordering(&graph, num_segments, &config);
+    SearchOutcome {
+        segment_priorities: result.segment_priorities,
+        best_time_bits: result.best_time_s.to_bits(),
+        evaluations: result.evaluations,
+        worker_evaluations: result.worker_evaluations,
+        pruned_evaluations: result.pruned_evaluations,
+        orders_hash: orders_hash(&result.orders),
+    }
+}
+
+/// The pinned outcomes, captured on the code *before* the per-search
+/// ordering memo existed: the memo may only change wall time, so every
+/// plan and every deterministic counter must still match this table, at
+/// one worker and at four.
+fn golden_table() -> Vec<(SearchStrategy, u64, bool, SearchOutcome)> {
+    vec![
+        (
+            SearchStrategy::Mcts,
+            1,
+            false,
+            SearchOutcome {
+                segment_priorities: vec![2, 5, 1, 4, 3, 6],
+                best_time_bits: 0x3fdc6e9dffe0a74a,
+                evaluations: 481,
+                worker_evaluations: vec![120, 120, 120, 120],
+                pruned_evaluations: 0,
+                orders_hash: 0xf8791698694dfc81,
+            },
+        ),
+        (
+            SearchStrategy::Mcts,
+            2,
+            false,
+            SearchOutcome {
+                segment_priorities: vec![1, 4, 2, 3, 6, 5],
+                best_time_bits: 0x3fdc5a64d769cc4c,
+                evaluations: 481,
+                worker_evaluations: vec![120, 120, 120, 120],
+                pruned_evaluations: 0,
+                orders_hash: 0x558cf281335c0f21,
+            },
+        ),
+        (
+            SearchStrategy::Mcts,
+            3,
+            false,
+            SearchOutcome {
+                segment_priorities: vec![1, 4, 2, 3, 6, 5],
+                best_time_bits: 0x3fdc5a64d769cc4c,
+                evaluations: 481,
+                worker_evaluations: vec![120, 120, 120, 120],
+                pruned_evaluations: 0,
+                orders_hash: 0x558cf281335c0f21,
+            },
+        ),
+        (
+            SearchStrategy::Mcts,
+            1,
+            true,
+            SearchOutcome {
+                segment_priorities: vec![2, 5, 1, 4, 3, 6],
+                best_time_bits: 0x3fdc6e9dffe0a74a,
+                evaluations: 482,
+                worker_evaluations: vec![120, 120, 120, 120],
+                pruned_evaluations: 0,
+                orders_hash: 0xf8791698694dfc81,
+            },
+        ),
+        (
+            SearchStrategy::Random,
+            1,
+            false,
+            SearchOutcome {
+                segment_priorities: vec![1, 6, 2, 3, 5, 4],
+                best_time_bits: 0x3fdc5a64d769cc4c,
+                evaluations: 481,
+                worker_evaluations: vec![120, 120, 120, 120],
+                pruned_evaluations: 454,
+                orders_hash: 0x558cf281335c0f21,
+            },
+        ),
+        (
+            SearchStrategy::Random,
+            2,
+            false,
+            SearchOutcome {
+                segment_priorities: vec![4, 5, 1, 2, 6, 3],
+                best_time_bits: 0x3fdcb3fde568371f,
+                evaluations: 481,
+                worker_evaluations: vec![120, 120, 120, 120],
+                pruned_evaluations: 456,
+                orders_hash: 0xb64a71d26772e7a1,
+            },
+        ),
+        (
+            SearchStrategy::Random,
+            3,
+            false,
+            SearchOutcome {
+                segment_priorities: vec![1, 6, 2, 3, 5, 4],
+                best_time_bits: 0x3fdc5a64d769cc4c,
+                evaluations: 481,
+                worker_evaluations: vec![120, 120, 120, 120],
+                pruned_evaluations: 469,
+                orders_hash: 0x558cf281335c0f21,
+            },
+        ),
+        (
+            SearchStrategy::Random,
+            1,
+            true,
+            SearchOutcome {
+                segment_priorities: vec![1, 6, 2, 3, 5, 4],
+                best_time_bits: 0x3fdc5a64d769cc4c,
+                evaluations: 482,
+                worker_evaluations: vec![120, 120, 120, 120],
+                pruned_evaluations: 454,
+                orders_hash: 0x558cf281335c0f21,
+            },
+        ),
+        (
+            SearchStrategy::Dfs,
+            1,
+            false,
+            SearchOutcome {
+                segment_priorities: vec![6, 2, 1, 3, 5, 4],
+                best_time_bits: 0x3fdd4a238e19b20d,
+                evaluations: 121,
+                worker_evaluations: vec![120],
+                pruned_evaluations: 111,
+                orders_hash: 0x58f79c450aa757e1,
+            },
+        ),
+        (
+            SearchStrategy::Dfs,
+            2,
+            false,
+            SearchOutcome {
+                segment_priorities: vec![6, 2, 1, 3, 5, 4],
+                best_time_bits: 0x3fdd4a238e19b20d,
+                evaluations: 121,
+                worker_evaluations: vec![120],
+                pruned_evaluations: 111,
+                orders_hash: 0x58f79c450aa757e1,
+            },
+        ),
+        (
+            SearchStrategy::Dfs,
+            3,
+            false,
+            SearchOutcome {
+                segment_priorities: vec![6, 2, 1, 3, 5, 4],
+                best_time_bits: 0x3fdd4a238e19b20d,
+                evaluations: 121,
+                worker_evaluations: vec![120],
+                pruned_evaluations: 111,
+                orders_hash: 0x58f79c450aa757e1,
+            },
+        ),
+        (
+            SearchStrategy::Dfs,
+            1,
+            true,
+            SearchOutcome {
+                segment_priorities: vec![6, 2, 1, 3, 5, 4],
+                best_time_bits: 0x3fdd4a238e19b20d,
+                evaluations: 122,
+                worker_evaluations: vec![120],
+                pruned_evaluations: 111,
+                orders_hash: 0x58f79c450aa757e1,
+            },
+        ),
+    ]
+}
+
+/// Memoising ordering evaluations is exact: the MCTS, random and DFS
+/// searches return the same priorities, best time (to the bit), per-rank
+/// orders and evaluation/pruning counters as before the memo, cold and
+/// warm-started, at 1 and 4 workers.
+#[test]
+fn search_outcomes_match_the_golden_table() {
+    for (strategy, seed, warm, expected) in golden_table() {
+        for workers in [1usize, 4] {
+            assert_eq!(
+                golden_search(strategy, seed, warm, workers),
+                expected,
+                "{strategy:?}, seed {seed}, warm {warm}, {workers} workers"
+            );
+        }
+    }
 }
