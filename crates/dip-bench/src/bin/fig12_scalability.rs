@@ -10,10 +10,9 @@
 //! exported as a determinism witness for the CI gate) while the wall
 //! clock shows how much of the hardware the engine converts into planning
 //! throughput (≈1.0 speedup on a single-core machine, approaching the
-//! worker count on dedicated cores). The memopt columns expose the
-//! formerly serial memory-ILP phase: its per-rank solves now run on the
-//! same worker pool, so its share of the plan wall clock drops as workers
-//! are added on multi-core machines.
+//! worker count on dedicated cores). Only the search streams run on the
+//! workers: the graph build and the memory ILPs are serial, so their wall
+//! columns stay flat and the memopt share rises as the search speeds up.
 //!
 //! With `DIP_BENCH_JSON=path` the run additionally emits a machine-readable
 //! [`BenchReport`] for the `bench_check` CI gate.
@@ -34,9 +33,8 @@ fn t2v_batch() -> BatchWorkload {
 
 /// Worker scaling on the largest workload: a pinned search space (8
 /// streams × a fixed per-stream quota) executed by 1/2/4/8 physical
-/// workers — bit-identical plans at every width, wall clock dropping with
-/// workers on multi-core machines, and the memopt phase's share of the
-/// plan wall clock dropping with them (its per-rank ILPs share the pool).
+/// workers — bit-identical plans at every width, and wall clock dropping
+/// with workers on multi-core machines.
 fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
     const STREAMS: usize = 8;
     let spec = zoo::vlm_s();
@@ -70,12 +68,8 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
         let build_wall = stats.graph_build_time.as_secs_f64();
         let memopt_wall = stats.memopt_time.as_secs_f64();
         let memopt_share = memopt_wall / wall.max(f64::MIN_POSITIVE);
-        let build_ratio = stats.graph_build_cpu_time.as_secs_f64()
-            / stats.graph_build_time.as_secs_f64().max(1e-12);
         let search_ratio =
             stats.search_cpu_time.as_secs_f64() / stats.search_time.as_secs_f64().max(1e-12);
-        let memopt_ratio =
-            stats.memopt_cpu_time.as_secs_f64() / stats.memopt_time.as_secs_f64().max(1e-12);
         let single = *single_thread.get_or_insert(wall);
         iteration_bits.push(execution.metrics.iteration_time_s.to_bits());
         rows.push(vec![
@@ -83,11 +77,9 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
             format!("{wall:.3}"),
             fmt_ratio(single / wall),
             format!("{build_wall:.5}"),
-            format!("{build_ratio:.2}"),
             format!("{memopt_wall:.4}"),
             format!("{:.1}%", memopt_share * 100.0),
             format!("{search_ratio:.2}"),
-            format!("{memopt_ratio:.2}"),
             stats.search_evaluations.to_string(),
             format!("{:.3}", execution.metrics.iteration_time_s),
         ]);
@@ -98,12 +90,6 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
             MetricKind::Info,
             "s",
             build_wall,
-        );
-        report.push(
-            format!("{prefix}.graph_build_cpu_over_wall"),
-            MetricKind::Info,
-            "ratio",
-            build_ratio,
         );
         report.push(
             format!("{prefix}.memopt_wall_s"),
@@ -122,12 +108,6 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
             MetricKind::Info,
             "ratio",
             search_ratio,
-        );
-        report.push(
-            format!("{prefix}.memopt_cpu_over_wall"),
-            MetricKind::Info,
-            "ratio",
-            memopt_ratio,
         );
         report.push(
             format!("{prefix}.evaluations"),
@@ -149,31 +129,6 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
     );
     report.push_flag("scaling.cross_worker_identical", identical);
 
-    // The stage-graph build itself, isolated from the rest of the planner:
-    // the block-parallel expansion must produce a byte-identical graph at
-    // every worker count (the same guarantee the search phase asserts).
-    let placement = separated_placement(&spec, parallel, &BTreeMap::new());
-    let batches = vec![vlm_batch(24); microbatches];
-    let uniform = SubMicrobatchPlan::uniform(placement.segments.len(), microbatches);
-    let build = |workers: usize| {
-        StageGraphBuilder::new(&spec, &placement, &cluster)
-            .with_workers(workers)
-            .build(&batches, &uniform)
-            .expect("stage graph builds")
-    };
-    let serial_graph = build(1);
-    let build_identical = [2usize, 4, 8]
-        .iter()
-        .all(|&workers| build(workers) == serial_graph);
-    assert!(
-        build_identical,
-        "worker count changed the built stage graph"
-    );
-    report.push_flag(
-        "scaling.graph_build_cross_worker_identical",
-        build_identical,
-    );
-
     print_table(
         &format!("Fig. 12 (engine) — planner wall clock vs. workers, VLM-S ×{microbatches} microbatches, {STREAMS} streams × {} evaluations", total_evaluations.div_ceil(STREAMS as u64)),
         &[
@@ -181,17 +136,15 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
             "Plan wall (s)",
             "Speedup",
             "Build wall (s)",
-            "Build CPU/wall",
             "Memopt wall (s)",
             "Memopt share",
             "Search CPU/wall",
-            "Memopt CPU/wall",
             "Evaluations",
             "Iteration (s)",
         ],
         &rows,
     );
-    println!("Expected shape: speedup approaches the worker count on dedicated cores (≥1.5x at 4 workers on ≥4-core machines); the memopt share of plan wall time drops as its per-rank ILPs spread over the pool; the graph-build columns expose the one full expansion per plan (the memory plan is applied by an in-place reprice, never a rebuild); the plan itself is bit-identical in every row (asserted, graph build included).");
+    println!("Expected shape: speedup approaches the worker count on dedicated cores (≥1.5x at 4 workers on ≥4-core machines); the graph build and the memory ILPs are serial, so their wall columns stay flat across rows and the memopt share grows as the search speeds up; the graph-build column is the one full expansion per plan (the memory plan is applied by an in-place reprice, never a rebuild); the plan itself is bit-identical in every row (asserted).");
 }
 
 fn main() {

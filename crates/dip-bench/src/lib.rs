@@ -21,7 +21,6 @@ use dip_pipeline::baselines::{
 };
 use dip_pipeline::ParallelConfig;
 use dip_sim::{ClusterSpec, IterationMetrics};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Scaling of the experiments: `quick` finishes in seconds, `full`
@@ -232,7 +231,7 @@ pub fn run_all_systems(
 
 /// How the CI regression gate treats a metric when comparing a bench run
 /// against the committed baseline (see the `bench_check` binary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// A simulated time (or other simulated quantity where lower is
     /// better): the gate fails when the current value regresses more than
@@ -275,7 +274,7 @@ impl MetricKind {
 }
 
 /// One machine-readable measurement of a bench run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchMetric {
     /// Dotted metric path, e.g. `scaling.w4.iteration_s`.
     pub name: String,
@@ -292,7 +291,7 @@ pub struct BenchMetric {
 /// every `fig*` binary emits under `DIP_BENCH_JSON` and the `bench_check`
 /// gate consumes. Human tables keep printing to stdout; this is the file
 /// CI diffs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// The bench binary's stable name (e.g. `fig12_scalability`).
     pub bench: String,

@@ -42,13 +42,12 @@ use dip_pipeline::{
     StageGraph, StageGraphBuilder,
 };
 use dip_sim::{ClusterTopology, TopologyDelta};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Knobs of the elastic replanner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElasticConfig {
     /// Weight of the migration term in the objective, in seconds of
     /// simulated iteration time per second of state-transfer time. `0.0`
@@ -73,7 +72,7 @@ impl Default for ElasticConfig {
 }
 
 /// Which placement candidate the elastic replanner selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElasticCandidate {
     /// The topology did not change: the old plan is returned byte-identical
     /// and no state moves.
@@ -141,7 +140,6 @@ struct Evaluated {
     placement: Placement,
     graph: StageGraph,
     search: OrderingResult,
-    build_cpu_time: Duration,
 }
 
 impl DipPlanner<'_> {
@@ -280,7 +278,6 @@ impl DipPlanner<'_> {
         let total_pruned: u64 = evaluated.iter().map(|e| e.search.pruned_evaluations).sum();
         let total_memo_hits: u64 = evaluated.iter().map(|e| e.search.memo_hits).sum();
         let search_cpu_time = evaluated.iter().map(|e| e.search.cpu_time).sum();
-        let build_cpu_time = evaluated.iter().map(|e| e.build_cpu_time).sum();
         let winner = evaluated.swap_remove(best);
 
         let plan = DipPlan {
@@ -294,7 +291,6 @@ impl DipPlanner<'_> {
             topology_fingerprint: new_fingerprint,
             stats: PlannerStats {
                 planning_time: start.elapsed(),
-                graph_build_cpu_time: build_cpu_time,
                 search_cpu_time,
                 search_evaluations: total_evaluations,
                 search_worker_evaluations: winner.search.worker_evaluations,
@@ -447,13 +443,10 @@ impl DipPlanner<'_> {
             &self.topology,
             delta,
         );
-        let builder = StageGraphBuilder::new_on(self.spec, &placement, &self.topology)
+        let mut graph = StageGraphBuilder::new_on(self.spec, &placement, &self.topology)
             .with_efficiency(self.config.efficiency)
-            .with_workers(self.config.search.workers.max(1));
-        let prepared = builder
-            .prepare(microbatches, &old_plan.sub_microbatches)
+            .build(microbatches, &old_plan.sub_microbatches)
             .planning_context("building stage graph for elastic replan")?;
-        let (mut graph, build_stats) = builder.build_prepared(&prepared);
         graph.reprice(&old_plan.memory_plan);
 
         let budget = self.activation_budget(&graph.static_memory);
@@ -494,7 +487,6 @@ impl DipPlanner<'_> {
             placement,
             graph,
             search,
-            build_cpu_time: build_stats.cpu_time,
         })
     }
 }

@@ -79,6 +79,7 @@ mod par;
 pub mod partitioner;
 pub mod planner;
 pub mod session;
+mod sync;
 
 pub use elastic::{CandidateReport, ElasticCandidate, ElasticConfig, ElasticOutcome};
 pub use error::DipError;

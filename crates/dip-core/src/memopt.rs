@@ -8,29 +8,23 @@
 //! a group-choice ILP solved with a greedy warm start and a 5% optimality
 //! gap, exactly as the paper describes.
 //!
-//! # Parallel, deterministic solves
+//! # Deterministic solves
 //!
-//! The per-rank subproblems share no state, so
-//! [`optimize_memory_detailed`] dispatches them across a scoped thread
-//! pool (the caller passes the thread budget — the planner forwards its
-//! per-plan CPU share so `plan_many` concurrency never multiplies) and
-//! merges the per-rank selections **in rank order**, exactly as the serial
-//! loop would have applied them. Each solve is bounded by a deterministic
-//! branch-and-bound *node* budget derived from the configured (virtual)
-//! time limit via the calibrated per-node cost model — never by a wall
-//! clock — so the parallel path is byte-identical to the serial path, on
-//! any machine, at any thread count.
+//! [`optimize_memory`] solves the per-rank subproblems one after another in
+//! rank order. Each solve is bounded by a deterministic branch-and-bound
+//! *node* budget derived from the configured (virtual) time limit via the
+//! calibrated per-node cost model — never by a wall clock — so the chosen
+//! plan is the same on any machine.
 
 use crate::error::DipError;
 use dip_pipeline::{Direction, MemoryPlan, MemoryStrategy, RankOrders, StageGraph};
 use dip_sim::{CostModel, StageTiming};
 use dip_solver::{Candidate, GroupChoiceProblem, SolveOptions};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of the memory optimiser.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryOptConfig {
     /// Number of candidate strategies per stage pair (the paper's `S`, e.g. 10).
     pub candidates_per_pair: usize,
@@ -67,22 +61,16 @@ impl MemoryOptConfig {
     }
 }
 
-/// The outcome of a (possibly parallel) memory-optimisation run.
+/// The outcome of [`optimize_memory_detailed`], kept only for `perfbench/`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryOptOutcome {
     /// The chosen per-stage-pair strategies.
     pub plan: MemoryPlan,
-    /// Wall time each rank's subproblem took to solve, in rank order.
-    pub rank_cpu: Vec<Duration>,
-    /// Summed per-rank solve wall time (the sum of `rank_cpu`; equals CPU
-    /// time on unloaded cores). Compared with the caller's wall-clock
-    /// measurement this exposes the parallel speedup of the phase.
-    pub cpu_time: Duration,
 }
 
 /// Runs per-rank memory optimisation over a stage graph and a fixed
-/// interleaving, returning the chosen [`MemoryPlan`]. Serial convenience
-/// wrapper around [`optimize_memory_detailed`] (one thread).
+/// interleaving, returning the chosen [`MemoryPlan`]. The per-rank ILPs
+/// are solved in rank order.
 ///
 /// `capacity_per_rank` is the activation-memory budget of each rank (GPU
 /// memory minus the static parameter/optimizer footprint). Ranks whose
@@ -100,33 +88,6 @@ pub fn optimize_memory(
     capacity_per_rank: &[u64],
     config: &MemoryOptConfig,
 ) -> Result<MemoryPlan, DipError> {
-    optimize_memory_detailed(graph, orders, capacity_per_rank, config, 1).map(|o| o.plan)
-}
-
-/// The selections one rank's subproblem contributes to the merged plan.
-type RankSelections = Vec<(usize, MemoryStrategy)>;
-
-/// Like [`optimize_memory`], but dispatches the independent per-rank ILP
-/// subproblems across up to `threads` scoped worker threads and reports
-/// the per-rank CPU split. The per-rank selections are merged in rank
-/// order — exactly the order the serial loop applies them — and every
-/// solve is node-budgeted rather than clocked, so the result is
-/// **byte-identical to the serial path** at any thread count.
-///
-/// `threads` is this plan's CPU budget for the phase; the planner passes
-/// its per-plan search parallelism so a `plan_many` pool of `P` plans
-/// never exceeds `P × threads` total CPU threads.
-///
-/// # Errors
-///
-/// Returns [`DipError::Solver`] when `candidates_per_pair == 0`.
-pub fn optimize_memory_detailed(
-    graph: &StageGraph,
-    orders: &RankOrders,
-    capacity_per_rank: &[u64],
-    config: &MemoryOptConfig,
-    threads: usize,
-) -> Result<MemoryOptOutcome, DipError> {
     if config.candidates_per_pair == 0 {
         return Err(DipError::solver(
             "memory optimisation",
@@ -134,50 +95,36 @@ pub fn optimize_memory_detailed(
         ));
     }
     let ladder = MemoryStrategy::ladder(config.candidates_per_pair);
-    let num_ranks = orders.orders.len();
-
-    // The shared work-stealing fork-join helper: rank → thread assignment
-    // cannot influence the per-rank results, which are pure functions of
-    // the rank index.
-    let per_rank: Vec<(RankSelections, Duration)> =
-        crate::par::parallel_map_indexed(num_ranks, threads, |rank| {
-            let start = Instant::now();
-            let selections = solve_rank(
-                graph,
-                &orders.orders[rank],
-                capacity_per_rank,
-                rank,
-                config,
-                &ladder,
-            );
-            (selections, start.elapsed())
-        });
-
-    // Deterministic merge: apply each rank's selections in rank order —
-    // the exact order the serial loop would have written them, so the
-    // parallel path produces a byte-identical plan.
     let mut plan = MemoryPlan::new();
-    let mut rank_cpu = Vec::with_capacity(num_ranks);
-    let mut cpu_time = Duration::ZERO;
-    for (selections, cpu) in per_rank {
+    for (rank, order) in orders.orders.iter().enumerate() {
+        let selections = solve_rank(graph, order, capacity_per_rank, rank, config, &ladder);
         for (stage_pair, strategy) in selections {
             plan.set(stage_pair, strategy);
         }
-        cpu_time += cpu;
-        rank_cpu.push(cpu);
     }
-    Ok(MemoryOptOutcome {
-        plan,
-        rank_cpu,
-        cpu_time,
-    })
+    Ok(plan)
+}
+
+/// Has no effect beyond [`optimize_memory`]: `_threads` is ignored and the
+/// plan is wrapped into a [`MemoryOptOutcome`]. Kept only because
+/// `perfbench/` calls it.
+///
+/// # Errors
+///
+/// Same as [`optimize_memory`].
+pub fn optimize_memory_detailed(
+    graph: &StageGraph,
+    orders: &RankOrders,
+    capacity_per_rank: &[u64],
+    config: &MemoryOptConfig,
+    _threads: usize,
+) -> Result<MemoryOptOutcome, DipError> {
+    optimize_memory(graph, orders, capacity_per_rank, config).map(|plan| MemoryOptOutcome { plan })
 }
 
 /// Solves one rank's group-choice ILP, returning the chosen strategy per
 /// stage pair hosted on the rank (empty when the rank hosts no complete
-/// pair). Pure function of its inputs: no clock consulted, no shared
-/// state touched — which is what lets ranks solve concurrently yet
-/// reproducibly.
+/// pair). Pure function of its inputs: no clock is consulted.
 fn solve_rank(
     graph: &StageGraph,
     order: &[dip_pipeline::StageId],
@@ -185,7 +132,7 @@ fn solve_rank(
     rank: usize,
     config: &MemoryOptConfig,
     ladder: &[MemoryStrategy],
-) -> RankSelections {
+) -> Vec<(usize, MemoryStrategy)> {
     let capacity = capacity_per_rank.get(rank).copied().unwrap_or(u64::MAX);
 
     // Collect the stage pairs on this rank with their alive intervals
@@ -464,62 +411,6 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, crate::DipError::Solver { .. }));
         assert!(err.to_string().contains("candidates_per_pair"));
-    }
-
-    #[test]
-    fn parallel_memopt_matches_serial_byte_for_byte() {
-        let (graph, orders) = graph_and_orders(8);
-        let none_plan = MemoryPlan::new();
-        let unconstrained: Vec<u64> = orders
-            .orders
-            .iter()
-            .map(|o| estimated_peak_activation(&graph, o, &none_plan))
-            .collect();
-        // A binding budget so the ILP actually has to trade strategies.
-        let budget: Vec<u64> = unconstrained.iter().map(|p| p / 4 + 1).collect();
-        let config = MemoryOptConfig::default();
-        let serial = optimize_memory_detailed(&graph, &orders, &budget, &config, 1).unwrap();
-        for threads in [2usize, 4, 8, 64] {
-            let parallel =
-                optimize_memory_detailed(&graph, &orders, &budget, &config, threads).unwrap();
-            assert_eq!(parallel.plan, serial.plan, "{threads} threads");
-            assert_eq!(parallel.rank_cpu.len(), serial.rank_cpu.len());
-        }
-        // The wrapper returns the same plan as the detailed path.
-        assert_eq!(
-            optimize_memory(&graph, &orders, &budget, &config).unwrap(),
-            serial.plan
-        );
-        // CPU accounting covers every rank and sums consistently.
-        assert_eq!(serial.rank_cpu.len(), orders.orders.len());
-        assert_eq!(serial.rank_cpu.iter().sum::<Duration>(), serial.cpu_time);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
-        /// The regression guarantee of the parallel decomposition: for any
-        /// workload shape and any budget tightness, the parallel path is
-        /// byte-identical to the serial one.
-        #[test]
-        fn parallel_memopt_is_identical_on_random_workloads(
-            microbatches in 2usize..7,
-            divisor in 1u64..8,
-            threads in 2usize..9,
-        ) {
-            let (graph, orders) = graph_and_orders(microbatches);
-            let none_plan = MemoryPlan::new();
-            let budget: Vec<u64> = orders
-                .orders
-                .iter()
-                .map(|o| estimated_peak_activation(&graph, o, &none_plan) / divisor + 1)
-                .collect();
-            let config = MemoryOptConfig::default();
-            let serial =
-                optimize_memory_detailed(&graph, &orders, &budget, &config, 1).unwrap();
-            let parallel =
-                optimize_memory_detailed(&graph, &orders, &budget, &config, threads).unwrap();
-            proptest::prop_assert_eq!(parallel.plan, serial.plan);
-        }
     }
 
     #[test]

@@ -12,11 +12,10 @@
 use dip_pipeline::{dual_queue, Direction, DualQueueConfig, MemoryStrategy, StageGraph};
 use dip_sim::StageTiming;
 use dip_solver::{Candidate, GroupChoiceProblem, SolveOptions, SolveStatus};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// The result of a monolithic-ILP search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonolithicResult {
     /// Best simulated iteration time found (seconds); infinite if nothing
     /// completed before the time limit.

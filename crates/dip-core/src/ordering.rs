@@ -60,13 +60,12 @@ use dip_sim::{CostModel, CostSample};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Which exploration strategy drives the ordering search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchStrategy {
     /// Monte Carlo tree search with UCB selection (DIP's default).
     Mcts,
@@ -77,7 +76,7 @@ pub enum SearchStrategy {
 }
 
 /// Configuration of the ordering search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderingSearchConfig {
     /// Exploration strategy.
     pub strategy: SearchStrategy,
@@ -269,7 +268,7 @@ fn is_permutation(ordering: &[usize], num_segments: usize) -> bool {
 }
 
 /// A point on the best-score-versus-time curve (Fig. 11).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchProgressPoint {
     /// Elapsed search time when the improvement was found.
     pub elapsed: Duration,
@@ -278,7 +277,7 @@ pub struct SearchProgressPoint {
 }
 
 /// The outcome of an ordering search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderingResult {
     /// Priority per placement segment (higher = scheduled earlier).
     pub segment_priorities: Vec<i64>,

@@ -14,11 +14,10 @@ use dip_pipeline::{
     ParallelConfig, Placement, PlacementMode, SubMicrobatchPlan,
 };
 use dip_sim::{ClusterTopology, TimingModel};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Configuration of the modality-aware partitioner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionerConfig {
     /// Target fraction of peak GPU efficiency a sub-microbatch must retain
     /// (the paper uses 95%).
@@ -50,7 +49,7 @@ impl Default for PartitionerConfig {
 }
 
 /// The offline output of the partitioner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionerOutput {
     /// Chosen sub-microbatch size per module, expressed in *instances* of the
     /// module's modality (images / clips / packed sequences).

@@ -4,11 +4,12 @@
 //! and the resulting execution plan is deployed (here: simulated).
 
 use crate::error::{DipError, ResultExt};
-use crate::memopt::{optimize_memory_detailed, MemoryOptConfig};
+use crate::memopt::{optimize_memory, MemoryOptConfig};
 use crate::ordering::{
     ordering_from_priorities, search_ordering, OrderingResult, OrderingSearchConfig, SearchStrategy,
 };
 use crate::partitioner::{ModalityAwarePartitioner, PartitionerConfig, PartitionerOutput};
+use crate::sync::lock;
 use dip_models::{BatchWorkload, LmmSpec, Modality};
 use dip_pipeline::{
     dual_queue, execute, DualQueueConfig, ExecutionOutcome, ExecutorConfig, MemoryPlan,
@@ -18,12 +19,11 @@ use dip_sim::{
     CalibrationRegistry, CalibrationSource, ClusterSpec, ClusterTopology, EfficiencyModel,
     TimingModel,
 };
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Configuration of the DIP planner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Modality-aware partitioner settings (§4).
     pub partitioner: PartitionerConfig,
@@ -41,7 +41,8 @@ pub struct PlannerConfig {
     /// The planner's total CPU-thread budget.
     /// [`crate::PlanningSession::plan_many`] sizes its worker pool as
     /// `num_threads / search.workers` (at least one), so batch planning
-    /// never runs more than `num_threads` concurrent threads in total.
+    /// never runs more than `num_threads` concurrent threads in total:
+    /// within a plan only the ordering-search streams run in parallel.
     /// Set together with `search.workers` via
     /// [`PlannerConfig::with_num_threads`].
     pub num_threads: usize,
@@ -104,8 +105,8 @@ impl PlannerConfig {
     }
 
     /// Gives the planner an `n`-thread CPU budget: `n` ordering-search
-    /// workers per plan (also the memory optimiser's per-plan thread
-    /// budget), with [`crate::PlanningSession::plan_many`] sizing its pool
+    /// workers per plan (the graph build and the memory optimiser are
+    /// serial), with [`crate::PlanningSession::plan_many`] sizing its pool
     /// within the same budget (so with all `n` threads devoted to the
     /// search, batch planning proceeds one plan at a time). To fan out
     /// across plans instead, set `search.workers` to 1 and keep
@@ -135,7 +136,7 @@ impl PlannerConfig {
 /// cold (planned from scratch). Single-shot [`DipPlanner`] plans are
 /// [`PlanTier::Cold`]; [`DipPlanner::replan_elastic`] plans are
 /// [`PlanTier::Elastic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PlanTier {
     /// Planned from scratch: full ordering search plus memory ILP.
     #[default]
@@ -155,7 +156,7 @@ pub enum PlanTier {
 }
 
 /// Statistics of one planning invocation.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlannerStats {
     /// Wall-clock time spent planning (all phases).
     pub planning_time: Duration,
@@ -164,15 +165,10 @@ pub struct PlannerStats {
     /// construction is accounted separately in `graph_build_time`.
     pub partition_time: Duration,
     /// Wall-clock time of the stage-graph construction phase: the one full
-    /// block-parallel expansion per plan (workload splitting, stage pricing
-    /// and dependency wiring). The later memory-plan application is an
+    /// serial expansion per plan (workload splitting, stage pricing and
+    /// dependency wiring). The later memory-plan application is an
     /// in-place [`StageGraph::reprice`] counted under `memopt_time`.
     pub graph_build_time: Duration,
-    /// Summed per-block task wall time of the stage-graph build (same
-    /// semantics as `search_cpu_time`): `graph_build_cpu_time /
-    /// graph_build_time` exposes the build's parallel speedup across the
-    /// `workers` knob.
-    pub graph_build_cpu_time: Duration,
     /// Wall-clock time of the schedule-search phase (§5.1–5.2).
     pub search_time: Duration,
     /// Summed per-stream task wall time of the search phase (see
@@ -186,12 +182,6 @@ pub struct PlannerStats {
     /// the in-place reprice under the chosen strategies and the
     /// re-interleave.
     pub memopt_time: Duration,
-    /// Summed per-rank solve wall time of the memory-optimisation phase
-    /// (same semantics as `search_cpu_time`). `memopt_cpu_time /
-    /// memopt_time` exposes how much of the phase the rank-parallel
-    /// decomposition overlaps — the Amdahl lift of parallelising the
-    /// former serial tail.
-    pub memopt_cpu_time: Duration,
     /// Number of schedule candidates evaluated by the searcher.
     pub search_evaluations: u64,
     /// How many of `search_evaluations` the incumbent cutoff bound aborted
@@ -412,13 +402,13 @@ impl<'a> DipPlanner<'a> {
         representative: &BatchWorkload,
     ) -> Result<PartitionerOutput, DipError> {
         let output = self.partitioner().partition(representative)?;
-        *self.partition.lock() = Some(output.clone());
+        *lock(&self.partition) = Some(output.clone());
         Ok(output)
     }
 
     /// The fixed partitioner output, if the offline phase has run.
     pub fn partition_output(&self) -> Option<PartitionerOutput> {
-        self.partition.lock().clone()
+        lock(&self.partition).clone()
     }
 
     /// Runs the offline phase against `representative` only if no placement
@@ -434,7 +424,7 @@ impl<'a> DipPlanner<'a> {
         &self,
         representative: &BatchWorkload,
     ) -> Result<PartitionerOutput, DipError> {
-        let mut guard = self.partition.lock();
+        let mut guard = lock(&self.partition);
         if let Some(p) = guard.clone() {
             return Ok(p);
         }
@@ -495,20 +485,15 @@ impl<'a> DipPlanner<'a> {
             .sub_microbatch_plan(&partition, microbatches);
         let partition_time = start.elapsed();
 
-        // The plan's one full stage-graph expansion: workloads are split
-        // once (`prepare`), the blocks priced and wired in parallel on this
-        // plan's CPU-thread share. The memory plan chosen later is applied
-        // by an in-place reprice, never a rebuild.
+        // The plan's one full stage-graph expansion. The memory plan chosen
+        // later is applied by an in-place reprice, never a rebuild.
         let build_start = Instant::now();
         let builder = StageGraphBuilder::new_on(self.spec, &partition.placement, &self.topology)
-            .with_efficiency(self.config.efficiency)
-            .with_workers(self.config.search.workers.max(1));
-        let prepared = builder
-            .prepare(microbatches, &sub_plan)
+            .with_efficiency(self.config.efficiency);
+        let graph = builder
+            .build(microbatches, &sub_plan)
             .planning_context("building stage graph")?;
-        let (graph, build_stats) = builder.build_prepared(&prepared);
         let graph_build_time = build_start.elapsed();
-        let graph_build_cpu_time = build_stats.cpu_time;
 
         let budget: Vec<u64> = self.activation_budget(&graph.static_memory);
         let base_queue = DualQueueConfig {
@@ -532,41 +517,27 @@ impl<'a> DipPlanner<'a> {
         };
         let search_time = search_start.elapsed();
 
-        // Phase ③: per-layer memory optimisation — the per-rank ILPs run
-        // on this plan's CPU-thread share (`search.workers`, the same
-        // budget the search phase just released) — then reprice the graph
-        // in place with the chosen strategies and re-interleave with the
-        // same priorities. The reprice is bit-identical to a full rebuild
-        // (memory strategies only retime stages; dependencies and lags are
-        // untouched) at a fraction of the cost.
+        // Phase ③: per-layer memory optimisation (the per-rank ILPs, in
+        // rank order), then reprice the graph in place with the chosen
+        // strategies and re-interleave with the same priorities. The
+        // reprice is bit-identical to a full rebuild (memory strategies
+        // only retime stages; dependencies and lags are untouched) at a
+        // fraction of the cost.
         let memopt_start = Instant::now();
-        let (graph, orders, memory_plan, memopt_cpu_time, planned_time) =
-            if self.config.enable_memory_opt {
-                let memopt = optimize_memory_detailed(
-                    &graph,
-                    &search.orders,
-                    &budget,
-                    &self.config.memory,
-                    self.config.search.workers.max(1),
-                )?;
-                let memory_plan = memopt.plan;
-                let mut graph = graph;
-                graph.reprice(&memory_plan);
-                let queue = DualQueueConfig {
-                    segment_priorities: search.segment_priorities.clone(),
-                    ..base_queue
-                };
-                let (orders, makespan) = dual_queue::schedule(&graph, &queue);
-                (graph, orders, memory_plan, memopt.cpu_time, makespan)
-            } else {
-                (
-                    graph,
-                    search.orders,
-                    MemoryPlan::new(),
-                    Duration::ZERO,
-                    search.best_time_s,
-                )
+        let (graph, orders, memory_plan, planned_time) = if self.config.enable_memory_opt {
+            let memory_plan =
+                optimize_memory(&graph, &search.orders, &budget, &self.config.memory)?;
+            let mut graph = graph;
+            graph.reprice(&memory_plan);
+            let queue = DualQueueConfig {
+                segment_priorities: search.segment_priorities.clone(),
+                ..base_queue
             };
+            let (orders, makespan) = dual_queue::schedule(&graph, &queue);
+            (graph, orders, memory_plan, makespan)
+        } else {
+            (graph, search.orders, MemoryPlan::new(), search.best_time_s)
+        };
         let memopt_time = memopt_start.elapsed();
 
         Ok(DipPlan {
@@ -582,11 +553,9 @@ impl<'a> DipPlanner<'a> {
                 planning_time: start.elapsed(),
                 partition_time,
                 graph_build_time,
-                graph_build_cpu_time,
                 search_time,
                 search_cpu_time: search.cpu_time,
                 memopt_time,
-                memopt_cpu_time,
                 search_evaluations: search.evaluations,
                 search_worker_evaluations: search.worker_evaluations,
                 search_pruned_evaluations: search.pruned_evaluations,
@@ -678,12 +647,10 @@ impl<'a> DipPlanner<'a> {
         // the anchor's memory plan, so the strategies transfer one-to-one.
         let build_start = Instant::now();
         let builder = StageGraphBuilder::new_on(self.spec, &partition.placement, &self.topology)
-            .with_efficiency(self.config.efficiency)
-            .with_workers(self.config.search.workers.max(1));
-        let prepared = builder
-            .prepare(microbatches, &sub_plan)
+            .with_efficiency(self.config.efficiency);
+        let mut graph = builder
+            .build(microbatches, &sub_plan)
             .planning_context("building stage graph for delta replan")?;
-        let (mut graph, build_stats) = builder.build_prepared(&prepared);
         let graph_build_time = build_start.elapsed();
 
         // Adopt the anchor's memory strategies by repricing in place
@@ -729,11 +696,9 @@ impl<'a> DipPlanner<'a> {
                 planning_time: start.elapsed(),
                 partition_time,
                 graph_build_time,
-                graph_build_cpu_time: build_stats.cpu_time,
                 search_time,
                 search_cpu_time: search.cpu_time,
                 memopt_time,
-                memopt_cpu_time: Duration::ZERO,
                 search_evaluations: search.evaluations,
                 search_worker_evaluations: search.worker_evaluations,
                 search_pruned_evaluations: search.pruned_evaluations,
@@ -811,7 +776,6 @@ mod tests {
         assert!(plan.stats.planning_time > Duration::ZERO);
         assert_eq!(plan.orders.num_stages(), plan.graph.len());
         assert!(plan.stats.graph_build_time > Duration::ZERO);
-        assert!(plan.stats.graph_build_cpu_time > Duration::ZERO);
         assert!(planner.partition_output().is_some());
     }
 

@@ -42,7 +42,7 @@
 //! # Thread safety
 //!
 //! [`PlanningSession::plan`] takes `&self`: the plan cache lives behind a
-//! `parking_lot::RwLock` and the statistics/warm-start state behind
+//! `std::sync::RwLock` and the statistics/warm-start state behind
 //! mutexes, so one session can be shared across threads (e.g. behind an
 //! `Arc`, or borrowed into scoped threads) and serve cache hits
 //! concurrently. [`PlanningSession::plan_many`] plans a slice of
@@ -80,16 +80,17 @@
 
 use crate::error::DipError;
 use crate::ordering::ordering_from_priorities;
+use crate::par::parallel_map_indexed;
 use crate::planner::{DipPlan, DipPlanner, PlanTier, PlannerConfig};
+use crate::sync::{lock, read, write};
 use dip_models::{BatchWorkload, BucketingConfig, CanonicalSignature, LmmSpec};
 use dip_pipeline::{ExecutionOutcome, ParallelConfig};
 use dip_sim::ClusterSpec;
-use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Canonical signature of one iteration's prefetched workload metadata.
@@ -283,9 +284,6 @@ pub struct SessionStats {
     /// Cumulative stage-graph construction time of fresh plans (see
     /// [`crate::PlannerStats::graph_build_time`]).
     pub graph_build_time: Duration,
-    /// Cumulative CPU time inside the parallel graph-build blocks of fresh
-    /// plans (see [`crate::PlannerStats::graph_build_cpu_time`]).
-    pub graph_build_cpu_time: Duration,
     /// Cumulative schedule-search time of fresh plans.
     pub search_time: Duration,
     /// Cumulative CPU time inside the parallel search streams of fresh
@@ -293,9 +291,6 @@ pub struct SessionStats {
     pub search_cpu_time: Duration,
     /// Cumulative memory-optimisation time of fresh plans.
     pub memopt_time: Duration,
-    /// Cumulative CPU time inside the per-rank memory-ILP solves of fresh
-    /// plans (see [`crate::PlannerStats::memopt_cpu_time`]).
-    pub memopt_cpu_time: Duration,
 }
 
 impl SessionStats {
@@ -507,7 +502,7 @@ const IN_FLIGHT_SHARDS: usize = 16;
 /// slot insertion/removal/cloning — never across planning or waiting.
 #[derive(Debug, Default)]
 struct InFlightShard {
-    slots: StdMutex<HashMap<u64, Arc<WaitSlot>>>,
+    slots: Mutex<HashMap<u64, Arc<WaitSlot>>>,
 }
 
 /// The per-key wait slot: waiters for a key sleep on *this* condvar, and
@@ -515,17 +510,17 @@ struct InFlightShard {
 /// threads planning other keys.
 #[derive(Debug, Default)]
 struct WaitSlot {
-    done: StdMutex<bool>,
-    cv: StdCondvar,
+    done: Mutex<bool>,
+    cv: Condvar,
 }
 
 impl WaitSlot {
     /// Blocks until the key's leader marks the slot done (panic-safe via
     /// the leader's [`InFlightGuard`]).
     fn wait(&self) {
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
+        let mut done = lock(&self.done);
         while !*done {
-            done = self.cv.wait(done).unwrap_or_else(|e| e.into_inner());
+            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -541,10 +536,10 @@ struct InFlightGuard<'s> {
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        let mut slots = self.shard.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slots = lock(&self.shard.slots);
         slots.remove(&self.key);
         drop(slots);
-        let mut done = self.slot.done.lock().unwrap_or_else(|e| e.into_inner());
+        let mut done = lock(&self.slot.done);
         *done = true;
         self.slot.cv.notify_all();
     }
@@ -663,24 +658,24 @@ impl<'a> PlanningSession<'a> {
 
     /// Cumulative session statistics.
     pub fn stats(&self) -> SessionStats {
-        *self.stats.lock()
+        *lock(&self.stats)
     }
 
     /// Number of plans currently cached (exact tier).
     pub fn cached_plans(&self) -> usize {
-        self.cache.read().len()
+        read(&self.cache).len()
     }
 
     /// Number of fuzzy anchor plans currently cached (one per bucket seen).
     pub fn fuzzy_anchors(&self) -> usize {
-        self.fuzzy.read().len()
+        read(&self.fuzzy).len()
     }
 
     /// Drops every cached plan (exact and fuzzy) and the warm-start state.
     pub fn clear(&mut self) {
-        self.cache.write().clear();
-        self.fuzzy.write().clear();
-        *self.last_best_ordering.lock() = None;
+        write(&self.cache).clear();
+        write(&self.fuzzy).clear();
+        *lock(&self.last_best_ordering) = None;
     }
 
     /// Plans one iteration through the three-tier lookup: exact cache hit
@@ -728,7 +723,7 @@ impl<'a> PlanningSession<'a> {
         let shard = self.in_flight_shard(key);
         let slot = loop {
             let (slot, leader) = {
-                let mut slots = shard.slots.lock().unwrap_or_else(|e| e.into_inner());
+                let mut slots = lock(&shard.slots);
                 match slots.entry(key) {
                     Entry::Occupied(occupied) => (Arc::clone(occupied.get()), false),
                     Entry::Vacant(vacant) => {
@@ -764,7 +759,7 @@ impl<'a> PlanningSession<'a> {
         // placement changes) falls through to a cold plan.
         let fuzzy_key = self.fuzzy_key(request);
         if let Some(fuzzy_key) = fuzzy_key {
-            if let Some(anchor) = self.fuzzy.write().get(fuzzy_key) {
+            if let Some(anchor) = write(&self.fuzzy).get(fuzzy_key) {
                 if let Ok(plan) = self
                     .planner
                     .plan_iteration_delta(request.microbatches(), &anchor)
@@ -788,7 +783,7 @@ impl<'a> PlanningSession<'a> {
     ) -> Option<PlanOutcome> {
         self.cache_lock_acquisitions
             .fetch_add(1, AtomicOrdering::Relaxed);
-        let cached = self.cache.write().get(key)?;
+        let cached = write(&self.cache).get(key)?;
         let mut plan = DipPlan::clone(&cached);
         // The plan is identical to the cached original; only the
         // bookkeeping reflects the (near-zero) cost of serving it.
@@ -797,10 +792,9 @@ impl<'a> PlanningSession<'a> {
         plan.stats.planning_time = start.elapsed();
         plan.stats.partition_time = Duration::ZERO;
         plan.stats.graph_build_time = Duration::ZERO;
-        plan.stats.graph_build_cpu_time = Duration::ZERO;
         plan.stats.search_time = Duration::ZERO;
         plan.stats.memopt_time = Duration::ZERO;
-        let mut stats = self.stats.lock();
+        let mut stats = lock(&self.stats);
         stats.requests += 1;
         stats.exact_hits += 1;
         stats.planning_time += plan.stats.planning_time;
@@ -827,15 +821,12 @@ impl<'a> PlanningSession<'a> {
         start: Instant,
     ) -> PlanOutcome {
         plan.stats.planning_time = start.elapsed();
-        *self.last_best_ordering.lock() = Some(ordering_from_priorities(&plan.segment_priorities));
+        *lock(&self.last_best_ordering) = Some(ordering_from_priorities(&plan.segment_priorities));
         self.cache_lock_acquisitions
             .fetch_add(1, AtomicOrdering::Relaxed);
-        let evicted = self
-            .cache
-            .write()
-            .insert(key, plan.clone(), self.config.cache_capacity);
+        let evicted = write(&self.cache).insert(key, plan.clone(), self.config.cache_capacity);
 
-        let mut stats = self.stats.lock();
+        let mut stats = lock(&self.stats);
         stats.requests += 1;
         stats.fuzzy_hits += 1;
         // A delta search always evaluates the identity and the anchor's
@@ -849,7 +840,6 @@ impl<'a> PlanningSession<'a> {
         stats.fuzzy_plan_time += plan.stats.planning_time;
         stats.partition_time += plan.stats.partition_time;
         stats.graph_build_time += plan.stats.graph_build_time;
-        stats.graph_build_cpu_time += plan.stats.graph_build_cpu_time;
         stats.search_time += plan.stats.search_time;
         stats.search_cpu_time += plan.stats.search_cpu_time;
         stats.memopt_time += plan.stats.memopt_time;
@@ -875,7 +865,7 @@ impl<'a> PlanningSession<'a> {
         _start: Instant,
     ) -> Result<PlanOutcome, DipError> {
         let seed = if self.config.warm_start {
-            self.last_best_ordering.lock().clone()
+            lock(&self.last_best_ordering).clone()
         } else {
             None
         };
@@ -888,20 +878,18 @@ impl<'a> PlanningSession<'a> {
                 // A failed fresh plan still counts as a miss, keeping
                 // `requests == exact_hits + fuzzy_hits + cache_misses`
                 // exact.
-                let mut stats = self.stats.lock();
+                let mut stats = lock(&self.stats);
                 stats.requests += 1;
                 stats.cache_misses += 1;
                 return Err(err);
             }
         };
 
-        *self.last_best_ordering.lock() = Some(ordering_from_priorities(&plan.segment_priorities));
+        *lock(&self.last_best_ordering) = Some(ordering_from_priorities(&plan.segment_priorities));
         let evicted = if self.config.cache_capacity > 0 {
             self.cache_lock_acquisitions
                 .fetch_add(1, AtomicOrdering::Relaxed);
-            self.cache
-                .write()
-                .insert(key, plan.clone(), self.config.cache_capacity)
+            write(&self.cache).insert(key, plan.clone(), self.config.cache_capacity)
         } else {
             0
         };
@@ -909,13 +897,13 @@ impl<'a> PlanningSession<'a> {
             // First cold plan in a bucket wins as the anchor; later cold
             // plans (evictions aside) never replace it, so delta regret is
             // measured against a stable reference.
-            let mut fuzzy = self.fuzzy.write();
+            let mut fuzzy = write(&self.fuzzy);
             if fuzzy.get(fuzzy_key).is_none() {
                 fuzzy.insert(fuzzy_key, plan.clone(), self.config.cache_capacity);
             }
         }
 
-        let mut stats = self.stats.lock();
+        let mut stats = lock(&self.stats);
         stats.requests += 1;
         stats.cache_misses += 1;
         stats.evictions += evicted;
@@ -926,11 +914,9 @@ impl<'a> PlanningSession<'a> {
         stats.cold_plan_time += plan.stats.planning_time;
         stats.partition_time += plan.stats.partition_time;
         stats.graph_build_time += plan.stats.graph_build_time;
-        stats.graph_build_cpu_time += plan.stats.graph_build_cpu_time;
         stats.search_time += plan.stats.search_time;
         stats.search_cpu_time += plan.stats.search_cpu_time;
         stats.memopt_time += plan.stats.memopt_time;
-        stats.memopt_cpu_time += plan.stats.memopt_cpu_time;
         drop(stats);
 
         Ok(PlanOutcome {
@@ -1003,35 +989,7 @@ impl<'a> PlanningSession<'a> {
                     ))
                 })
         };
-        if threads <= 1 || requests.len() <= 1 {
-            return requests.iter().map(plan_caught).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<PlanOutcome, DipError>>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                    let Some(request) = requests.get(i) else {
-                        break;
-                    };
-                    *slots[i].lock() = Some(plan_caught(request));
-                });
-            }
-        })
-        .expect("plan_many scope failed");
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner().unwrap_or_else(|| {
-                    Err(DipError::concurrency(format!(
-                        "no worker reported a result for request {i}"
-                    )))
-                })
-            })
-            .collect()
+        parallel_map_indexed(requests.len(), threads, |i| plan_caught(&requests[i]))
     }
 
     /// Simulates the deployment of a plan (delegates to the planner).
@@ -1360,16 +1318,15 @@ mod tests {
         let req = request(&[8, 32]);
         let threads = 4;
         let barrier = std::sync::Barrier::new(threads);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     barrier.wait();
                     let outcome = session.plan(&req).unwrap();
                     assert_eq!(outcome.signature, req.signature());
                 });
             }
-        })
-        .unwrap();
+        });
         let stats = session.stats();
         assert_eq!(stats.requests, threads as u64);
         assert_eq!(
@@ -1418,7 +1375,6 @@ mod tests {
         // never runs the memory ILP.
         assert_eq!(fuzzy.plan.memory_plan, cold.plan.memory_plan);
         assert_eq!(fuzzy.plan.sub_microbatches, cold.plan.sub_microbatches);
-        assert_eq!(fuzzy.plan.stats.memopt_cpu_time, Duration::ZERO);
         assert!(fuzzy.plan.stats.warm_started);
         // The delta plan is priced against the *real* shape, not the
         // anchor's: the graph timings differ.
@@ -1512,20 +1468,19 @@ mod tests {
         let keys = [request(&[8, 32]), request(&[40, 4])];
         const THREADS_PER_KEY: usize = 4;
         let barrier = std::sync::Barrier::new(keys.len() * THREADS_PER_KEY);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for req in &keys {
                 for _ in 0..THREADS_PER_KEY {
                     let barrier = &barrier;
                     let session = &session;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         barrier.wait();
                         let outcome = session.plan(req).unwrap();
                         assert_eq!(outcome.signature, req.signature());
                     });
                 }
             }
-        })
-        .unwrap();
+        });
         let stats = session.stats();
         assert_eq!(stats.requests, (keys.len() * THREADS_PER_KEY) as u64);
         assert_eq!(
@@ -1538,6 +1493,37 @@ mod tests {
             (keys.len() * (THREADS_PER_KEY - 1)) as u64
         );
         assert_eq!(session.cached_plans(), keys.len());
+    }
+
+    #[test]
+    fn poisoned_cache_and_stats_locks_do_not_fail_later_calls() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let session = session(&spec, &cluster, SessionConfig::default());
+        let req = request(&[8, 32]);
+        assert!(!session.plan(&req).unwrap().cache_hit);
+
+        // A thread panics while holding both locks, poisoning them.
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _cache = write(&session.cache);
+                let _stats = lock(&session.stats);
+                panic!("panicking while holding the cache and stats locks");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(session.cache.is_poisoned());
+        assert!(session.stats.is_poisoned());
+
+        // Every later call takes the poisoned locks over as they stand.
+        assert!(session.plan(&req).unwrap().cache_hit);
+        assert_eq!(session.stats().requests, 2);
+        let results = session.plan_many(&[request(&[8, 32]), request(&[40, 4])]);
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        let stats = session.stats();
+        assert_eq!(stats.requests, 4);
+        assert_eq!(stats.exact_hits, 2);
+        assert_eq!(stats.cache_misses, 2);
     }
 
     #[test]

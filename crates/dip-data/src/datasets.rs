@@ -1,13 +1,12 @@
 use crate::sample::{DataSample, ImageInstance, VideoClip};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Spatio-temporal DiT tokens produced per second of 16-fps video
 /// (MovieGen-style latent patchification).
 pub const VIDEO_TOKENS_PER_SECOND: u64 = 1560;
 
 /// The open-source datasets modelled in the paper's evaluation (Fig. 4a–b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// OBELICS: interleaved image–text web documents with highly variable
     /// text-to-image ratios (0.4 – 3115 tokens/image).
@@ -73,7 +72,7 @@ fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 
 /// A generative model of one dataset, producing [`DataSample`]s whose
 /// modality-ratio statistics match the paper's Fig. 4a–b.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetModel {
     kind: DatasetKind,
 }
@@ -145,7 +144,7 @@ impl DatasetModel {
 }
 
 /// Summary statistics of a set of samples, as plotted in Fig. 4a–b.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DatasetStats {
     /// Number of samples summarised.
     pub num_samples: usize,
@@ -198,7 +197,7 @@ impl DatasetStats {
 }
 
 /// A weighted mixture of datasets, used to draw a realistic training stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetMix {
     components: Vec<(DatasetKind, f64)>,
 }

@@ -1,5 +1,4 @@
 use crate::generator::{BatchGenerator, TrainingBatch};
-use serde::{Deserialize, Serialize};
 
 /// A per-iteration schedule of image-count bounds, reproducing the manual
 /// workload control of the paper's dynamic-workload study (Fig. 8b).
@@ -8,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// the lower bound rises from 0 to 16 (upper bound fixed at 32) over the
 /// first five iterations, peaking at an average of ~22 images per
 /// microbatch, after which both bounds decay to zero by iteration 20.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImageBoundSchedule {
     bounds: Vec<(u64, u64)>,
 }

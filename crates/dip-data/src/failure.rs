@@ -12,13 +12,12 @@
 use dip_sim::{ClusterTopology, NodeSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One fault event. Node indices refer to the *roster*: the base topology's
 /// nodes in order, followed by added nodes in the order they were added.
 /// Killed nodes keep their roster index so a later [`FaultEvent::Restore`]
 /// can bring the same node back.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// The node at this roster index goes down (no-op when it is already
     /// down, or when it is the last node standing — a cluster never goes
@@ -31,7 +30,7 @@ pub enum FaultEvent {
 }
 
 /// A fault event pinned to the training iteration it hits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledFault {
     /// The iteration index (into the replayed trace) at which the event
     /// takes effect, before that iteration is planned.
@@ -41,7 +40,7 @@ pub struct ScheduledFault {
 }
 
 /// A deterministic sequence of fault events over a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureSchedule {
     base: ClusterTopology,
     faults: Vec<ScheduledFault>,

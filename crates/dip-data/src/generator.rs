@@ -4,10 +4,9 @@ use crate::sample::{DataSample, ImageInstance};
 use dip_models::BatchWorkload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One training iteration's worth of data: a fixed number of microbatches.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainingBatch {
     /// The microbatches processed in this iteration (per data-parallel replica).
     pub microbatches: Vec<Microbatch>,
@@ -43,7 +42,7 @@ impl TrainingBatch {
 }
 
 /// Which packing rule a [`BatchGenerator`] applies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum PackingMode {
     Vlm(VlmPackingConfig),
     T2v(T2vPackingConfig),

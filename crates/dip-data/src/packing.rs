@@ -1,9 +1,8 @@
 use crate::sample::DataSample;
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Packing configuration for vision-language models (§7.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VlmPackingConfig {
     /// Maximum packed sequence length in tokens (text + image patch tokens).
     pub context_length: u64,
@@ -24,7 +23,7 @@ impl Default for VlmPackingConfig {
 }
 
 /// Packing configuration for text-to-video models (§7.1, MovieGen-style).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct T2vPackingConfig {
     /// Maximum total video duration per microbatch, in seconds.
     pub max_duration_s: f64,
@@ -42,7 +41,7 @@ impl Default for T2vPackingConfig {
 }
 
 /// A packed microbatch: the unit of work passed through the pipeline.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Microbatch {
     /// The samples packed into this microbatch.
     pub samples: Vec<DataSample>,

@@ -1,8 +1,7 @@
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
-use serde::{Deserialize, Serialize};
 
 /// A single image attached to a training sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImageInstance {
     /// Number of patch tokens this image contributes after the ViT encoder
     /// and spatial merging (169 for the paper's 728-px configuration).
@@ -18,7 +17,7 @@ impl Default for ImageInstance {
 }
 
 /// A video clip attached to a training sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VideoClip {
     /// Clip duration in seconds (paper caps at 16 s, transcoded at 16 fps).
     pub duration_s: f64,
@@ -29,7 +28,7 @@ pub struct VideoClip {
 }
 
 /// One multimodal training sample before packing.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DataSample {
     /// Plain text tokens (captions, document text, questions...).
     pub text_tokens: u64,

@@ -17,7 +17,6 @@
 
 use crate::workload::fnv1a_fold;
 use crate::{BatchWorkload, Modality, ModalityWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Seed distinguishing canonical signatures from exact workload signatures.
 const CANONICAL_SEED: u64 = 0xb0c4_e7ab_u64.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -30,7 +29,7 @@ const CANONICAL_SEED: u64 = 0xb0c4_e7ab_u64.wrapping_mul(0x9e37_79b9_7f4a_7c15);
 /// raise the fuzzy hit rate and the worst-case in-bucket regret together;
 /// the regret bound is checked empirically by the `fuzzy_replanning`
 /// proptest suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BucketingConfig {
     /// Bucket width for per-modality token counts (1 = exact).
     pub token_bucket: u64,
@@ -94,7 +93,7 @@ impl Default for BucketingConfig {
 /// the same [`BucketingConfig`] buckets. The hash is FNV-1a over the bucket
 /// indices, so — like the exact signature — it is stable across processes
 /// and suitable as a persistent cache key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CanonicalSignature(u64);
 
 impl CanonicalSignature {

@@ -1,10 +1,9 @@
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
 /// Analytical cost of executing one or more layers over a workload,
 /// normalised to a single GPU of a tensor-parallel group.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LayerCost {
     /// Forward floating-point operations.
     pub fwd_flops: f64,
@@ -111,7 +110,7 @@ impl Sum for LayerCost {
 
 /// The cost of a (forward, backward) stage pair for one model chunk and one
 /// sub-microbatch — the unit of work the DIP scheduler arranges.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StagePairCost {
     /// Cost aggregated over the chunk's layers.
     pub cost: LayerCost,

@@ -1,8 +1,8 @@
 //! A minimal JSON value, writer and parser for the bench harness.
 //!
-//! The build environment vendors a no-op `serde` stand-in (no network, no
-//! `serde_json`), so the machine-readable bench output is produced and
-//! consumed by this self-contained module instead. It covers exactly what
+//! The workspace has no `serde` dependency: the machine-readable bench
+//! output and the calibration artifacts are produced and consumed by this
+//! self-contained module. It covers exactly what
 //! the harness needs — objects, arrays, strings, finite numbers and bools —
 //! and guarantees **lossless `f64` round-trips**: numbers are written with
 //! Rust's shortest-round-trip formatting and parsed back with

@@ -1,12 +1,11 @@
 use crate::{ModalityWorkload, ModelError, ADAM_STATE_BYTES_PER_PARAM, BF16_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// High-level family of a transformer layer.
 ///
 /// The family determines attention masking (causal vs bidirectional), whether
 /// the MLP is gated (SwiGLU) and whether the block carries extra conditioning
 /// parameters (adaLN modulation for diffusion transformers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransformerKind {
     /// Causal decoder block of a modern large language model (gated SwiGLU MLP).
     CausalLm,
@@ -43,7 +42,7 @@ impl TransformerKind {
 }
 
 /// A standard pre-norm transformer block (attention + MLP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TransformerLayer {
     /// Model (embedding) dimension.
     pub embed_dim: usize,
@@ -168,7 +167,7 @@ impl TransformerLayer {
 }
 
 /// Converts raw images/video into patch tokens via a strided convolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PatchEmbedLayer {
     /// Output embedding dimension.
     pub embed_dim: usize,
@@ -194,7 +193,7 @@ impl PatchEmbedLayer {
 }
 
 /// Token embedding table of a language model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EmbeddingLayer {
     /// Vocabulary size.
     pub vocab_size: usize,
@@ -210,7 +209,7 @@ impl EmbeddingLayer {
 }
 
 /// Output projection (LM head) of a language model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LmHeadLayer {
     /// Vocabulary size.
     pub vocab_size: usize,
@@ -231,7 +230,7 @@ impl LmHeadLayer {
 }
 
 /// A modality adapter (MLP projector) between an encoder/decoder and the backbone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AdapterLayer {
     /// Input dimension (encoder embedding dimension).
     pub in_dim: usize,
@@ -255,7 +254,7 @@ impl AdapterLayer {
 }
 
 /// Coarse category of a [`LayerSpec`], used when grouping layers for reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Transformer block.
     Transformer,
@@ -270,7 +269,7 @@ pub enum LayerKind {
 }
 
 /// A single model layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LayerSpec {
     /// A transformer block.
     Transformer(TransformerLayer),

@@ -1,10 +1,9 @@
 use crate::{
     BatchWorkload, LayerCost, Modality, ModalityModule, ModalityWorkload, ModelError, ModuleRole,
 };
-use serde::{Deserialize, Serialize};
 
 /// Index of a module within an [`LmmSpec`], in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModuleId(pub usize);
 
 impl std::fmt::Display for ModuleId {
@@ -14,7 +13,7 @@ impl std::fmt::Display for ModuleId {
 }
 
 /// How a module's workload is derived from a batch's per-modality metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadSource {
     /// The module processes exactly the tokens of one modality
     /// (e.g. the ViT encoder processes image patch tokens).
@@ -52,7 +51,7 @@ impl WorkloadSource {
 /// The pipeline planner relies on this order for data dependencies between
 /// pipeline segments (an encoder's forward must finish before the backbone's
 /// forward of the same microbatch starts, and conversely for backward).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LmmSpec {
     name: String,
     modules: Vec<ModalityModule>,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The data modality a module consumes or produces.
@@ -7,7 +6,7 @@ use std::fmt;
 /// modalities are placed into dedicated pipeline segments and batched into
 /// modality-specific sub-microbatches, so every workload and module is
 /// labelled with its modality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Modality {
     /// Natural-language text tokens.
     Text,
@@ -46,7 +45,7 @@ impl fmt::Display for Modality {
 }
 
 /// The role a modality module plays inside an LMM (Fig. 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModuleRole {
     /// Converts raw modality data into token embeddings (e.g. ViT image encoder).
     Encoder,

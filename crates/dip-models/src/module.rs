@@ -1,9 +1,8 @@
 use crate::{LayerCost, LayerSpec, Modality, ModalityWorkload, ModelError, ModuleRole, BF16_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// A modality module of an LMM: an encoder, backbone, decoder or adapter
 /// made of a stack of layers that all process the same modality stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModalityModule {
     name: String,
     modality: Modality,

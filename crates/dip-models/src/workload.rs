@@ -1,5 +1,4 @@
 use crate::Modality;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Seed of the FNV-1a hash used for workload signatures.
@@ -23,7 +22,7 @@ pub(crate) fn fnv1a_fold(acc: u64, word: u64) -> u64 {
 /// Token counts are post-tokenisation: images are already converted to patch
 /// tokens and video clips to spatio-temporal tokens, so a single number per
 /// modality suffices for the analytical cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ModalityWorkload {
     /// Number of tokens processed by the module.
     pub tokens: u64,
@@ -95,7 +94,7 @@ impl ModalityWorkload {
 /// This is the "metadata" the DIP planner prefetches for the next batch
 /// (step ① of the online workflow, §3.2): token counts and instance counts
 /// per modality, without the actual tensor data.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BatchWorkload {
     per_modality: BTreeMap<Modality, ModalityWorkload>,
 }

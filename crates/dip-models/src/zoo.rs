@@ -9,7 +9,6 @@ use crate::{
     AdapterLayer, EmbeddingLayer, LayerSpec, LmHeadLayer, LmmSpec, Modality, ModalityModule,
     ModuleRole, PatchEmbedLayer, TransformerKind, TransformerLayer,
 };
-use serde::{Deserialize, Serialize};
 
 /// Llama 3 vocabulary size.
 pub const LLAMA3_VOCAB: usize = 128_256;
@@ -380,7 +379,7 @@ pub fn t2v_xl() -> LmmSpec {
 // ---------------------------------------------------------------------------
 
 /// A model combination with the parallelism configuration the paper uses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelSetup {
     /// Display name ("VLM-S", "T2V-XL-3k", ...).
     pub name: String,

@@ -15,11 +15,10 @@
 //! coarse-grained schedule; DIP feeds it MCTS-derived segment priorities.
 
 use crate::graph::{Direction, StageGraph, StageId};
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
 /// Configuration of the dual-queue interleaver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DualQueueConfig {
     /// Scheduling priority per pipeline segment (higher = scheduled earlier
     /// when several stages are ready). Missing entries default to zero, in
@@ -49,7 +48,7 @@ impl Default for DualQueueConfig {
 }
 
 /// The per-rank stage execution orders produced by a scheduler.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RankOrders {
     /// `orders[rank]` is the ordered list of stage ids rank `rank` executes.
     pub orders: Vec<Vec<StageId>>,

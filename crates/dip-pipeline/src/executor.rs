@@ -8,10 +8,9 @@ use crate::placement::{ParallelConfig, PipelineError};
 use dip_sim::{
     ClusterTopology, EngineReport, IterationMetrics, SimEngine, Task, TaskKind, TimingModel,
 };
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the plan executor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorConfig {
     /// The parallelism configuration (needed for DP gradient synchronisation
     /// and cluster-level MFU).
@@ -32,7 +31,7 @@ impl ExecutorConfig {
 }
 
 /// The outcome of executing a schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionOutcome {
     /// The raw engine report (timelines, memory traces, bubbles).
     pub report: EngineReport,

@@ -24,9 +24,6 @@
 //!   the DIP planner (which feeds it MCTS-derived segment priorities);
 //! * [`executor`] — turns a stage graph plus per-rank orders into
 //!   [`dip_sim::SimEngine`] tasks and reports iteration metrics;
-//! * [`par`] — the deterministic fork-join helper behind the stage-graph
-//!   builder's block-parallel expansion (and, one layer up, the planner's
-//!   parallel search and memory-ILP phases);
 //! * [`baselines`] — end-to-end baseline systems: Megatron-LM (1F1B and
 //!   interleaved VPP), nnScaler*, Optimus coarse-grained scheduling, and an
 //!   analytical FSDP/ZeRO-3 model.
@@ -66,7 +63,6 @@ pub mod dual_queue;
 pub mod executor;
 pub mod graph;
 pub mod migration;
-pub mod par;
 pub mod partition;
 pub mod placement;
 pub mod strategy;
@@ -76,8 +72,8 @@ pub use dual_queue::{
 };
 pub use executor::{execute, ExecutionOutcome, ExecutorConfig};
 pub use graph::{
-    Direction, GraphBuildStats, PreparedWorkloads, StageGraph, StageGraphBuilder, StageId,
-    SubMicrobatchPlan, WorkItem,
+    Direction, PreparedWorkloads, StageGraph, StageGraphBuilder, StageId, SubMicrobatchPlan,
+    WorkItem,
 };
 pub use migration::{full_restore_cost, migration_cost, MigrationCost};
 pub use partition::{

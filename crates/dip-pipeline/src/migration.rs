@@ -25,12 +25,11 @@
 use crate::placement::{Placement, OPTIMIZER_STATE_BYTES_PER_PARAM};
 use dip_models::{LmmSpec, ModuleId};
 use dip_sim::{ClusterTopology, TopologyDelta};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The cost of moving optimizer + parameter state between two placements
 /// across a topology change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCost {
     /// Total bytes that change physical device, including restored bytes.
     pub bytes_moved: u64,

@@ -3,7 +3,6 @@
 use crate::placement::{ChunkPiece, ModelChunk, ParallelConfig, Placement, Segment};
 use dip_models::{BatchWorkload, LmmSpec, ModuleId};
 use dip_sim::{ClusterTopology, EfficiencyModel, TimingModel};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How DIP's separated placement distributes a module's layers across the
@@ -35,7 +34,7 @@ use std::collections::BTreeMap;
 ///     &spec, parallel, &BTreeMap::new(), &mixed, EfficiencyModel::default(), &workload);
 /// balanced.validate(&spec).unwrap();
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementMode {
     /// Equal layer counts per rank, ignoring the devices backing them (the
     /// only sensible choice on a homogeneous cluster, and the pre-topology
@@ -64,7 +63,7 @@ pub enum PlacementMode {
 }
 
 /// A single model layer in the global (cross-module) execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GlobalLayer {
     module: ModuleId,
     layer: usize,

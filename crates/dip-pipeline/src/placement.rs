@@ -1,7 +1,6 @@
 //! Model chunks, pipeline segments and their placement on pipeline ranks.
 
 use dip_models::{LayerCost, LmmSpec, ModalityWorkload, ModuleId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
@@ -14,7 +13,7 @@ use std::ops::Range;
 pub(crate) const OPTIMIZER_STATE_BYTES_PER_PARAM: u64 = 2 + 2 + 4 + 4 + 4;
 
 /// The 3D parallelism configuration of a training job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     /// Tensor-parallel group size.
     pub tp: usize,
@@ -111,7 +110,7 @@ impl fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {}
 
 /// A contiguous slice of one module's layers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkPiece {
     /// The module the layers belong to.
     pub module: ModuleId,
@@ -134,7 +133,7 @@ impl ChunkPiece {
 /// A model chunk: the unit of model placement on one pipeline rank. Mixed
 /// (non-modality-aware) partitionings may put pieces of several modules into
 /// the same chunk; DIP's separated partitioning uses single-module chunks.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ModelChunk {
     /// The pieces executed by this chunk, in execution order.
     pub pieces: Vec<ChunkPiece>,
@@ -210,7 +209,7 @@ impl ModelChunk {
 
 /// A pipeline segment: one complete forward (or backward) pass across all
 /// pipeline ranks (§3.1). `chunks[r]` is executed by rank `r`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// One chunk per pipeline rank, in rank order.
     pub chunks: Vec<ModelChunk>,
@@ -236,7 +235,7 @@ impl Segment {
 
 /// A complete placement: the ordered list of pipeline segments whose chunks
 /// jointly cover the whole model, plus the parallelism configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// The parallelism configuration.
     pub parallel: ParallelConfig,

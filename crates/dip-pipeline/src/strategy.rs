@@ -9,7 +9,6 @@
 //! space while keeping candidate generation simple.
 
 use dip_sim::StageTiming;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Host↔device bandwidth used for activation offloading (PCIe Gen4 x16-ish).
@@ -21,7 +20,7 @@ const OFFLOAD_EXPOSED_FRACTION: f64 = 0.35;
 const CHECKPOINT_RESIDENT_FRACTION: f64 = 0.12;
 
 /// The memory-saving strategy applied to one (forward, backward) stage pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryStrategy {
     /// Fraction of the chunk's layers whose activations are recomputed in the
     /// backward pass instead of being kept resident (0 = none, 1 = full
@@ -110,7 +109,7 @@ impl Default for MemoryStrategy {
 /// stage-pair identifier the caller uses (DIP keys them by
 /// `(segment, microbatch, sub_microbatch, rank)` encoded as the forward
 /// stage's id).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MemoryPlan {
     choices: BTreeMap<usize, MemoryStrategy>,
 }

@@ -49,7 +49,6 @@ use crate::efficiency::EfficiencyModel;
 use crate::hardware::{GpuGeneration, GpuSpec};
 use crate::topology::{ClusterTopology, NodeSpec};
 use dip_models::json::{self, JsonValue};
-use serde::{Deserialize, Serialize};
 
 /// Current schema version of the calibration artifact JSON. Readers reject
 /// any other version ([`ArtifactError::SchemaVersion`]) instead of guessing.
@@ -58,7 +57,7 @@ pub const CALIBRATION_SCHEMA_VERSION: u32 = 1;
 /// ECM parameters of one device kind: the separately saturating resource
 /// ceilings the roofline prices against. Throughputs are raw (pre-α)
 /// ceilings in FLOP/s and B/s; see the module docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EcmDeviceParams {
     /// Human-readable device name ("H800", "H20", ...); informational only.
     pub label: String,
@@ -103,7 +102,7 @@ impl EcmDeviceParams {
 
 /// A versioned fleet calibration document. See the module docs for the
 /// schema, the fallback chain and the unit conventions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationArtifact {
     /// Schema version; must equal [`CALIBRATION_SCHEMA_VERSION`] to load.
     pub schema_version: u32,
@@ -343,7 +342,7 @@ impl std::fmt::Display for ArtifactError {
 impl std::error::Error for ArtifactError {}
 
 /// Which tier of the fallback chain a resolution came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CalibrationSource {
     /// An artifact measured on this exact fleet (fingerprint match).
     Exact,
@@ -365,7 +364,7 @@ impl std::fmt::Display for CalibrationSource {
 
 /// An ordered set of calibration artifacts the planner consults, most
 /// specific first within each tier (earlier artifacts win ties).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CalibrationRegistry {
     artifacts: Vec<CalibrationArtifact>,
 }
@@ -411,7 +410,7 @@ impl CalibrationRegistry {
 
 /// The outcome of resolving a registry against a topology: everything the
 /// planner rewires before planning starts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedCalibration {
     /// Which fallback tier supplied the parameters.
     pub source: CalibrationSource,

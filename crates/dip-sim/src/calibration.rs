@@ -5,7 +5,6 @@
 //! ~97.6% average accuracy.
 
 use crate::efficiency::EfficiencyModel;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A calibrated linear cost model `seconds = base_s + units · per_unit_s`
@@ -20,7 +19,7 @@ use std::time::Duration;
 /// budget ⇒ same plan, on any machine at any worker count. The model is the
 /// *virtual clock rate*; calibrating it (see [`CostModel::fit`]) changes how
 /// much work a budget buys, never which plan a given quota produces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Fixed per-item overhead, in seconds.
     pub base_s: f64,
@@ -123,7 +122,7 @@ impl CostModel {
 
 /// One calibration measurement for [`CostModel::fit`]: a work item of
 /// `units` units took `seconds` of wall clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostSample {
     /// Problem size of the measured work item.
     pub units: u64,
@@ -134,7 +133,7 @@ pub struct CostSample {
 /// One calibration observation: the simulator's predicted latency for some
 /// configuration versus the latency actually measured on hardware (here: the
 /// fine-grained reference simulator standing in for real GPU runs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationSample {
     /// Latency predicted with the *uncalibrated* model, in seconds.
     pub predicted_s: f64,

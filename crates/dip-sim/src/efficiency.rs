@@ -1,7 +1,5 @@
 //! Efficiency scaling factors and the kernel-utilisation curve.
 
-use serde::{Deserialize, Serialize};
-
 /// Efficiency scaling factors of the analytical cost model (§6.1) plus a
 /// saturation model for small kernels.
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// in the kernel. That roll-off is what makes excessively small
 /// sub-microbatches wasteful (Fig. 9) and is modelled by
 /// [`EfficiencyModel::utilisation`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EfficiencyModel {
     /// Compute efficiency factor (fraction of peak FLOP/s attainable by
     /// large GEMMs); `alpha_fop` in the paper, expressed as a divisor ≥ 1
@@ -63,7 +61,7 @@ impl Default for EfficiencyModel {
 /// same memory system, which is exactly the distinction that makes
 /// latency-balanced placement beat capacity-aware placement on mixed
 /// H800+H20 fleets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RooflineBreakdown {
     /// Time the operator would take if only compute saturated (s):
     /// `N_fop / (F · α_fop · utilisation)`.
@@ -98,7 +96,7 @@ impl RooflineBreakdown {
 }
 
 /// The saturating resource of an operator under the roofline model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RooflineBound {
     /// Limited by FLOP throughput (arithmetic intensity above the ridge).
     Compute,

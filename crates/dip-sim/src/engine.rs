@@ -10,15 +10,14 @@
 //! they were added (the execution plan order, §6.3); a task additionally
 //! waits for all of its dependencies plus their communication lag.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a task inside a [`SimEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub usize);
 
 /// The coarse category of a task, used for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// A forward pipeline stage.
     Forward,
@@ -33,7 +32,7 @@ pub enum TaskKind {
 }
 
 /// One task of an execution plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// The pipeline rank (resource) executing the task.
     pub rank: usize,
@@ -141,7 +140,7 @@ impl fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// Start/end record of one simulated task.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TaskRecord {
     /// Simulation time at which the task started.
     pub start: f64,
@@ -150,7 +149,7 @@ pub struct TaskRecord {
 }
 
 /// Per-rank results of a simulation.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RankTimeline {
     /// The rank index.
     pub rank: usize,
@@ -168,7 +167,7 @@ pub struct RankTimeline {
 }
 
 /// The result of simulating an execution plan.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineReport {
     /// End-to-end makespan in seconds.
     pub makespan: f64,

@@ -1,10 +1,9 @@
 //! GPU and cluster hardware specifications.
 
 use crate::topology::ClusterTopology;
-use serde::{Deserialize, Serialize};
 
 /// The GPU generations used in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuGeneration {
     /// NVIDIA H800 80 GB (main 64-GPU testbed).
     H800,
@@ -15,7 +14,7 @@ pub enum GpuGeneration {
 }
 
 /// Capabilities of a single GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Peak dense bf16 throughput in FLOP/s.
     pub peak_flops: f64,
@@ -90,7 +89,7 @@ impl GpuSpec {
 }
 
 /// A homogeneous GPU cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// The GPU model installed in every node.
     pub gpu: GpuSpec,

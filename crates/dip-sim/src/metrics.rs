@@ -1,8 +1,6 @@
 //! Training-throughput metrics: iteration time, model FLOPs utilisation (MFU)
 //! and derived comparisons.
 
-use serde::{Deserialize, Serialize};
-
 /// Model FLOPs utilisation: the model's useful FLOPs divided by the FLOPs the
 /// cluster could theoretically deliver over the iteration.
 ///
@@ -15,7 +13,7 @@ pub fn mfu(model_flops: f64, iteration_time_s: f64, cluster_peak_flops: f64) -> 
 }
 
 /// Summary of one simulated training iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IterationMetrics {
     /// End-to-end iteration time in seconds.
     pub iteration_time_s: f64,

@@ -30,11 +30,10 @@
 use crate::efficiency::{EfficiencyModel, RooflineBreakdown};
 use crate::hardware::GpuSpec;
 use dip_models::LayerCost;
-use serde::{Deserialize, Serialize};
 
 /// The simulated timing of one (forward, backward) stage pair of a model
 /// chunk over one sub-microbatch.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageTiming {
     /// Forward latency in seconds.
     pub fwd_s: f64,
@@ -55,7 +54,7 @@ impl StageTiming {
 }
 
 /// Maps [`LayerCost`]s to wall-clock stage latencies on a specific GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// The GPU executing the stage.
     pub gpu: GpuSpec,

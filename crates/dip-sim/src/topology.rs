@@ -23,11 +23,10 @@
 use crate::efficiency::EfficiencyModel;
 use crate::hardware::{ClusterSpec, GpuGeneration, GpuSpec};
 use crate::timing::TimingModel;
-use serde::{Deserialize, Serialize};
 
 /// One node of a cluster: a group of identical GPUs with a shared NVLink
 /// domain and a CPU complex.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     /// The GPU model installed in this node.
     pub gpu: GpuSpec,
@@ -60,7 +59,7 @@ impl NodeSpec {
 /// device set identical to replica 0's (replicas of one pipeline rank never
 /// mix device kinds). Simulations price rank `r` on replica 0's devices and
 /// scale aggregates by `dp` accordingly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterTopology {
     nodes: Vec<NodeSpec>,
 }
@@ -326,7 +325,7 @@ impl ClusterTopology {
 /// Elastic replanning uses the remapping to decide which optimizer/parameter
 /// state can stay in place across a failure or scale event and which must
 /// move over the wire.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyDelta {
     /// Old physical pipeline ranks whose hosting device no longer exists in
     /// the new topology (state held there must be restored from a replica or

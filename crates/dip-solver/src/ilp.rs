@@ -10,11 +10,10 @@
 //! a wall-clock time limit — the three ingredients the paper credits for
 //! bringing per-instance solve time under 10 ms (§5.3 "Optimizations").
 
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// One selectable candidate within a group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Contribution to the objective (e.g. latency).
     pub cost: f64,
@@ -37,7 +36,7 @@ impl Candidate {
 }
 
 /// A group-choice ILP instance.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroupChoiceProblem {
     /// Candidate lists, one per group; exactly one candidate is chosen per group.
     pub groups: Vec<Vec<Candidate>>,
@@ -146,7 +145,7 @@ impl GroupChoiceProblem {
 }
 
 /// Options controlling the branch-and-bound search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveOptions {
     /// Wall-clock limit; the best incumbent found so far is returned when hit.
     pub time_limit: Duration,
@@ -174,7 +173,7 @@ impl Default for SolveOptions {
 }
 
 /// Why the solver stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveStatus {
     /// Proven optimal (within floating-point tolerance).
     Optimal,
@@ -189,7 +188,7 @@ pub enum SolveStatus {
 }
 
 /// A solver result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Chosen candidate index per group (empty when infeasible).
     pub selection: Vec<usize>,

@@ -5,10 +5,8 @@
 //! stage pair (§5.3): within each memory bucket, the most time-efficient
 //! combination of per-layer strategies is found with an MCKP over layers.
 
-use serde::{Deserialize, Serialize};
-
 /// One selectable item of an MCKP group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MckpItem {
     /// Cost to minimise (e.g. stage latency in milliseconds).
     pub cost: f64,
@@ -17,7 +15,7 @@ pub struct MckpItem {
 }
 
 /// The result of an MCKP solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MckpSolution {
     /// Chosen item index per group.
     pub selection: Vec<usize>,

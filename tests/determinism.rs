@@ -1,14 +1,14 @@
 //! Virtual-time determinism properties: the budgets that bound every
 //! planner search are counted (evaluation quotas, ILP node budgets), never
 //! clocked, so a fixed-seed, *time-budgeted* `plan()` must be bit-identical
-//! across physical worker counts, across repeated runs, and between the
-//! serial and parallel memory-optimisation paths — the guarantee the
-//! bench-JSON CI gate's determinism metrics rely on.
+//! across physical worker counts and across repeated runs — the guarantee
+//! the bench-JSON CI gate's determinism metrics rely on. Golden tables pin
+//! the ordering search, the stage-graph build and the memory optimiser.
 
+use dip_core::memopt::estimated_peak_activation;
 use dip_core::{
-    optimize_memory_detailed, search_ordering, DipPlan, DipPlanner, MemoryOptConfig,
-    OrderingSearchConfig, PlanRequest, PlannerConfig, PlanningSession, SearchStrategy,
-    SessionConfig,
+    optimize_memory, search_ordering, DipPlan, DipPlanner, MemoryOptConfig, OrderingSearchConfig,
+    PlanRequest, PlannerConfig, PlanningSession, SearchStrategy, SessionConfig,
 };
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{
@@ -74,9 +74,8 @@ proptest! {
     /// Fixed seed + time budget ⇒ the same plan at 1, 2, 4 and 8 workers
     /// and across repeated runs, for arbitrary workload shapes and
     /// budgets. This is the tentpole guarantee: wall clocks are out of the
-    /// planning loop entirely. The `workers` knob now drives every parallel
-    /// phase — the block-parallel stage-graph build included — so this
-    /// covers the graph-build axis end to end.
+    /// planning loop entirely. The `workers` knob drives the one parallel
+    /// phase of a plan, the ordering-search streams.
     #[test]
     fn time_budgeted_plans_are_bit_identical_across_worker_counts(
         images_a in 0u64..49,
@@ -144,94 +143,6 @@ proptest! {
         let wide = run(8);
         for (a, b) in narrow.iter().zip(&wide) {
             assert_plans_bit_identical(a, b, "session width");
-        }
-    }
-
-    /// The parallel memory optimiser is byte-identical to the serial path
-    /// on random workloads and budget tightness — at the `tests/` level,
-    /// over the full planner-built graph and schedule.
-    #[test]
-    fn parallel_memopt_is_byte_identical_to_serial(
-        images in 0u64..49,
-        microbatches in 2usize..7,
-        divisor in 1u64..6,
-        threads in 2usize..9,
-    ) {
-        let spec = zoo::vlm_s();
-        let parallel = ParallelConfig::new(4, 4, 1);
-        let cluster = ClusterSpec::h800_cluster(2);
-        let planner = DipPlanner::new(
-            &spec,
-            parallel,
-            &cluster,
-            time_budgeted_config(1, 5, 3),
-        );
-        let batches: Vec<BatchWorkload> =
-            (0..microbatches).map(|i| vlm_batch(images + i as u64)).collect();
-        let plan = planner.plan_iteration(&batches).expect("plans");
-
-        // Re-run the memory optimiser over the planned graph and schedule
-        // with a random budget tightness, serial versus parallel.
-        let budget: Vec<u64> = plan
-            .graph
-            .static_memory
-            .iter()
-            .map(|_| {
-                let unconstrained: u64 = plan
-                    .graph
-                    .items()
-                    .iter()
-                    .map(|i| i.activation_bytes)
-                    .sum::<u64>()
-                    .max(1);
-                unconstrained / divisor + 1
-            })
-            .collect();
-        let config = MemoryOptConfig::default();
-        let serial =
-            optimize_memory_detailed(&plan.graph, &plan.orders, &budget, &config, 1).unwrap();
-        let wide =
-            optimize_memory_detailed(&plan.graph, &plan.orders, &budget, &config, threads)
-                .unwrap();
-        prop_assert_eq!(serial.plan, wide.plan);
-    }
-
-    /// The block-parallel stage-graph build is byte-identical to the serial
-    /// build at 1/2/4/8 workers over random workloads, sub-microbatch splits
-    /// and (homogeneous or mixed) topologies — items, dependencies and every
-    /// float, the same guarantee the planner's `workers` knob rests on.
-    #[test]
-    fn parallel_graph_build_is_byte_identical_to_serial(
-        images in 0u64..49,
-        microbatches in 1usize..6,
-        encoder_splits in 1usize..5,
-        mixed in 0usize..2,
-    ) {
-        let spec = zoo::vlm_s();
-        let parallel = ParallelConfig::new(4, 4, 1);
-        let topology = if mixed == 1 {
-            ClusterTopology::mixed_h800_h20(1, 1)
-        } else {
-            ClusterSpec::h800_cluster(2).topology()
-        };
-        let mut k = BTreeMap::new();
-        k.insert(spec.backbone_id().unwrap(), 2usize);
-        let placement = separated_placement(&spec, parallel, &k);
-        let batches: Vec<BatchWorkload> =
-            (0..microbatches).map(|i| vlm_batch(images + i as u64)).collect();
-        let mut plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
-        for m in 0..batches.len() {
-            plan.set(0, m, encoder_splits);
-        }
-        let build = |workers: usize| {
-            StageGraphBuilder::new_on(&spec, &placement, &topology)
-                .with_workers(workers)
-                .build(&batches, &plan)
-                .expect("builds")
-        };
-        let serial = build(1);
-        for workers in [2usize, 4, 8] {
-            prop_assert_eq!(&serial, &build(workers), "{} workers", workers);
         }
     }
 
@@ -322,25 +233,35 @@ struct SearchOutcome {
     orders_hash: u64,
 }
 
-/// FNV-1a over the per-rank orders (rank count, each rank's length and
-/// stage ids): a stable fingerprint that, unlike `DefaultHasher`, cannot
-/// change with the toolchain.
-fn orders_hash(orders: &dip_pipeline::RankOrders) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |word: u64| {
+/// FNV-1a 64-bit accumulator: a stable fingerprint that, unlike
+/// `DefaultHasher`, cannot change with the toolchain.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn mix(&mut self, word: u64) {
         for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(orders.orders.len() as u64);
-    for rank in &orders.orders {
-        mix(rank.len() as u64);
-        for stage in rank {
-            mix(stage.0 as u64);
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    hash
+}
+
+/// FNV-1a over the per-rank orders (rank count, each rank's length and
+/// stage ids).
+fn orders_hash(orders: &dip_pipeline::RankOrders) -> u64 {
+    let mut h = Fnv::new();
+    h.mix(orders.orders.len() as u64);
+    for rank in &orders.orders {
+        h.mix(rank.len() as u64);
+        for stage in rank {
+            h.mix(stage.0 as u64);
+        }
+    }
+    h.0
 }
 
 /// One ordering search over a six-segment VLM-S graph (four microbatches)
@@ -558,5 +479,185 @@ fn search_outcomes_match_the_golden_table() {
                 "{strategy:?}, seed {seed}, warm {warm}, {workers} workers"
             );
         }
+    }
+}
+
+/// FNV-1a over everything a stage graph holds: the per-rank totals, every
+/// item's fields, every item's `(dependency id, lag bits)` pairs in CSR
+/// order and every item's `(dependent id, lag bits)` pairs in reverse-CSR
+/// order.
+fn graph_hash(graph: &dip_pipeline::StageGraph) -> u64 {
+    let mut h = Fnv::new();
+    h.mix(graph.num_ranks as u64);
+    h.mix(graph.num_stage_pairs as u64);
+    h.mix(graph.model_flops.to_bits());
+    for &bytes in graph
+        .static_memory
+        .iter()
+        .chain(&graph.param_bytes_per_rank)
+    {
+        h.mix(bytes);
+    }
+    h.mix(graph.len() as u64);
+    for item in graph.items() {
+        h.mix(item.id.0 as u64);
+        h.mix(item.segment as u64);
+        h.mix(item.microbatch as u64);
+        h.mix(item.sub_microbatch as u64);
+        h.mix(item.rank as u64);
+        h.mix(u64::from(
+            item.direction == dip_pipeline::Direction::Backward,
+        ));
+        h.mix(item.duration.to_bits());
+        h.mix(item.activation_bytes);
+        h.mix(item.p2p_bytes);
+        h.mix(item.stage_pair as u64);
+    }
+    for adjacency in [
+        dip_pipeline::StageGraph::deps_of,
+        dip_pipeline::StageGraph::dependents_of,
+    ] {
+        for item in graph.items() {
+            let edges = adjacency(graph, item.id);
+            h.mix(edges.len() as u64);
+            for &(other, lag) in edges {
+                h.mix(other.0 as u64);
+                h.mix(lag.to_bits());
+            }
+        }
+    }
+    h.0
+}
+
+/// FNV-1a over a memory plan: its explicit-choice count and the strategy
+/// (both fractions' bits) of every stage pair of the graph.
+fn memory_plan_hash(plan: &MemoryPlan, stage_pairs: usize) -> u64 {
+    let mut h = Fnv::new();
+    h.mix(plan.len() as u64);
+    for pair in 0..stage_pairs {
+        let strategy = plan.get(pair);
+        h.mix(strategy.recompute_fraction.to_bits());
+        h.mix(strategy.offload_fraction.to_bits());
+    }
+    h.0
+}
+
+/// One golden build shape: VLM-S at PP4/TP4 with the backbone split into
+/// two segments (encoder, adapter, backbone, backbone).
+struct BuildShape {
+    name: &'static str,
+    mixed: bool,
+    /// Sub-microbatch count of the encoder segment, per microbatch.
+    encoder_splits: &'static [usize],
+    /// Sub-microbatch count of both backbone segments, per microbatch.
+    backbone_splits: &'static [usize],
+}
+
+const BUILD_SHAPES: [BuildShape; 4] = [
+    BuildShape {
+        name: "homogeneous, uniform",
+        mixed: false,
+        encoder_splits: &[1, 1, 1],
+        backbone_splits: &[1, 1, 1],
+    },
+    BuildShape {
+        name: "homogeneous, non-uniform encoder splits",
+        mixed: false,
+        encoder_splits: &[3, 1, 2],
+        backbone_splits: &[1, 1, 1],
+    },
+    BuildShape {
+        name: "mixed H800/H20, uniform",
+        mixed: true,
+        encoder_splits: &[1, 1, 1],
+        backbone_splits: &[1, 1, 1],
+    },
+    BuildShape {
+        name: "mixed H800/H20, split encoder feeding a split backbone",
+        mixed: true,
+        encoder_splits: &[2, 3, 1],
+        backbone_splits: &[2, 1, 3],
+    },
+];
+
+/// Builds the shape's stage graph.
+fn golden_graph(shape: &BuildShape) -> dip_pipeline::StageGraph {
+    let spec = zoo::vlm_s();
+    let parallel = ParallelConfig::new(4, 4, 1);
+    let topology = if shape.mixed {
+        ClusterTopology::mixed_h800_h20(1, 1)
+    } else {
+        ClusterSpec::h800_cluster(2).topology()
+    };
+    let mut k = BTreeMap::new();
+    k.insert(spec.backbone_id().unwrap(), 2usize);
+    let placement = separated_placement(&spec, parallel, &k);
+    assert_eq!(
+        placement.segments.len(),
+        4,
+        "encoder, adapter, 2 × backbone"
+    );
+    let batches = vec![vlm_batch(10), vlm_batch(30), vlm_batch(3)];
+    let mut plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
+    for m in 0..batches.len() {
+        plan.set(0, m, shape.encoder_splits[m]);
+        plan.set(2, m, shape.backbone_splits[m]);
+        plan.set(3, m, shape.backbone_splits[m]);
+    }
+    StageGraphBuilder::new_on(&spec, &placement, &topology)
+        .build(&batches, &plan)
+        .expect("builds")
+}
+
+/// Schedules the shape's graph with the default dual-queue configuration
+/// and solves memopt under a binding budget (a third of each rank's
+/// unconstrained activation peak), returning the memory plan's hash.
+fn golden_memory_plan_hash(shape: &BuildShape) -> u64 {
+    let graph = golden_graph(shape);
+    let (orders, _) = dual_queue::schedule(&graph, &DualQueueConfig::default());
+    let unconstrained = MemoryPlan::new();
+    let budget: Vec<u64> = orders
+        .orders
+        .iter()
+        .map(|order| estimated_peak_activation(&graph, order, &unconstrained) / 3 + 1)
+        .collect();
+    let memory_plan = optimize_memory(&graph, &orders, &budget, &MemoryOptConfig::default())
+        .expect("memopt solves");
+    assert!(!memory_plan.is_empty(), "{}: the budget binds", shape.name);
+    memory_plan_hash(&memory_plan, graph.num_stage_pairs)
+}
+
+/// The stage-graph build reproduces the fingerprints the block-parallel
+/// build produced on every shape: every item field and every dependency
+/// and dependent with its lag bits. The values were captured on the
+/// parallel build before it became one serial pass, so the serial build
+/// must match the parallel one bit for bit.
+#[test]
+fn parallel_graph_build_is_byte_identical_to_serial() {
+    let expected: [u64; 4] = [
+        0xcb710f687ece2349,
+        0xc94c1dfd4ac351f6,
+        0xbd5733cd3bf90064,
+        0x6f9a4ca82e474a07,
+    ];
+    for (shape, expected) in BUILD_SHAPES.iter().zip(expected) {
+        assert_eq!(graph_hash(&golden_graph(shape)), expected, "{}", shape.name);
+    }
+}
+
+/// The memory optimiser reproduces the memory plans the rank-parallel
+/// memopt chose on every shape. The values were captured on the parallel
+/// memopt before the per-rank ILPs were solved serially, so the serial
+/// path must match the parallel one bit for bit.
+#[test]
+fn parallel_memopt_is_byte_identical_to_serial() {
+    let expected: [u64; 4] = [
+        0x5cfa8d2be35c08a7,
+        0xe418a8631d9533b3,
+        0x9a7b0dc62681f0d4,
+        0x8ff83c138eee66de,
+    ];
+    for (shape, expected) in BUILD_SHAPES.iter().zip(expected) {
+        assert_eq!(golden_memory_plan_hash(shape), expected, "{}", shape.name);
     }
 }
